@@ -62,7 +62,7 @@ pub mod time;
 mod topology;
 
 pub use engine::NetEvent;
-pub use fault::FaultSpec;
+pub use fault::{splitmix64, FaultSpec};
 pub use network::{
     AtmError, ConnId, EstablishedVc, Network, NodeId, QosParams, ServiceCategory, SetupTicket,
 };

@@ -1021,13 +1021,11 @@ fn seeded_fault(base: &crate::fault::FaultSpec, dir: u64) -> crate::fault::Fault
     // Full SplitMix64 finalizer: a plain `seed * K + dir` leaves the two
     // direction streams linearly related, which lets low-probability fault
     // processes stay correlated (or pathologically quiet) for small seeds.
-    let mut z = base
+    let z = base
         .seed
         .wrapping_add((dir + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     crate::fault::FaultSpec {
-        seed: z ^ (z >> 31),
+        seed: crate::fault::splitmix64(z),
         // The exact drop plan addresses the forward direction only (see
         // `FaultSpec::drop_cells`); the reverse direction keeps just the
         // probabilistic knobs.

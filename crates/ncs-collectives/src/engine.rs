@@ -13,10 +13,11 @@
 //!   lane only while operations are queued — the paper's overlap story
 //!   made concrete for group communication. Application threads *submit*
 //!   operations (a mailbox send) and immediately continue computing; the
-//!   runner executes the communication schedule (tree forwarding,
-//!   reduction folds, pipeline segment relays), resolves the caller's
-//!   [`CollectiveHandle`], and exits once the queue drains. A quiescent
-//!   group costs zero threads.
+//!   runner drives each operation's [`crate::schedule::Machine`] (tree
+//!   forwarding, reduction folds, pipeline segment relays), feeding it
+//!   the frames it waits on, resolves the caller's [`CollectiveHandle`],
+//!   and exits once the queue drains. A quiescent group costs zero
+//!   threads.
 //!
 //! The runner is spawned through the node's configured
 //! [`ncs_threads::ThreadPackage`], so the same engine runs over the
@@ -36,14 +37,15 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
-use ncs_core::{BufPool, Clock, NcsConnection, NcsNode, PooledBuf, Reactor};
+use ncs_core::{BufPool, Clock, NcsConnection, NcsNode, Reactor};
 use ncs_threads::sync::Mailbox;
 use parking_lot::Mutex;
 
-use crate::datatype::{fold_into, to_bytes, DType, ReduceOp, Scalar};
-use crate::frame::{decode_frame, encode_frame, Seg};
+use crate::datatype::{to_bytes, ReduceOp, Scalar};
+use crate::frame::{decode_frame, Seg};
 use crate::handle::{CollectiveError, CollectiveHandle, OpCompletion};
-use crate::topology::{tree_children, tree_parent, tree_span, OpClass, Topology, TopologyPolicy};
+use crate::schedule::{Machine, Member, Op, OpKind, Outbox};
+use crate::topology::{Topology, TopologyPolicy};
 
 /// How often blocked engine loops re-check the closed flag.
 const TICK: Duration = Duration::from_millis(100);
@@ -135,30 +137,10 @@ impl StatCounters {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum OpKind {
-    Broadcast,
-    Reduce,
-    Allreduce,
-    Scatter,
-    Gather,
-    Allgather,
-    Barrier,
-}
-
 struct OpRequest {
     coll: u32,
-    kind: OpKind,
-    /// Topology of the (first) phase.
-    topo: Topology,
-    /// Topology of the second phase (the broadcast half of allreduce /
-    /// tree allgather).
-    topo2: Topology,
-    root: usize,
+    op: Op,
     payload: Vec<u8>,
-    /// Broadcast in-out contract: the byte length every member expects.
-    expect_len: usize,
-    combine: Option<(DType, ReduceOp)>,
     timeout: Duration,
     done: Arc<OpCompletion>,
 }
@@ -261,81 +243,16 @@ impl Inner {
         }
         None
     }
+}
 
-    /// Relabelled rank of `abs` for a schedule rooted at `root`.
-    fn rel_of(&self, abs: usize, root: usize) -> usize {
-        (abs + self.size - root) % self.size
-    }
-
-    /// Absolute rank of relabelled `rel` for a schedule rooted at `root`.
-    fn abs_of(&self, rel: usize, root: usize) -> usize {
-        (rel + root) % self.size
-    }
-
-    /// Cuts `payload` into pipeline segments, each encoded once into a
-    /// pooled frame buffer.
-    fn encode_segments(&self, coll: u32, stream: u32, payload: &[u8]) -> Vec<PooledBuf> {
-        let seg = self.cfg.seg_size;
-        let n = payload.len().div_ceil(seg).max(1);
-        (0..n)
-            .map(|i| {
-                let lo = i * seg;
-                let hi = ((i + 1) * seg).min(payload.len());
-                encode_frame(
-                    &self.pool,
-                    self.group,
-                    coll,
-                    stream,
-                    i as u32,
-                    n as u32,
-                    &payload[lo..hi],
-                )
-            })
-            .collect()
-    }
-
-    /// Forwards one received frame verbatim (the relay path).
-    fn forward_raw(&self, peer: usize, raw: &[u8]) -> Result<(), CollectiveError> {
-        self.links[&peer].send_batch(&[raw])?;
-        self.stats.frames_sent.inc();
-        self.stats.bytes_sent.add(raw.len() as u64);
-        Ok(())
-    }
-
-    /// Ships pre-encoded frames to `peer` in one NCS batch.
-    fn send_frames(&self, peer: usize, frames: &[PooledBuf]) -> Result<(), CollectiveError> {
-        let refs: Vec<&[u8]> = frames.iter().map(|f| f.as_slice()).collect();
-        self.links[&peer].send_batch(&refs)?;
+/// The engine's transmit side: a machine's sends go out on the group's
+/// links through the pooled batch path.
+impl Outbox for &Inner {
+    fn send(&mut self, peer: usize, frames: &[&[u8]]) -> Result<(), CollectiveError> {
+        self.links[&peer].send_batch(frames)?;
         self.stats.frames_sent.add(frames.len() as u64);
-        let bytes: usize = frames.iter().map(|f| f.as_slice().len()).sum();
+        let bytes: usize = frames.iter().map(|f| f.len()).sum();
         self.stats.bytes_sent.add(bytes as u64);
-        Ok(())
-    }
-
-    /// Segments `payload` once and sends it to one peer.
-    fn send_segments(
-        &self,
-        peer: usize,
-        coll: u32,
-        stream: u32,
-        payload: &[u8],
-    ) -> Result<(), CollectiveError> {
-        self.send_frames(peer, &self.encode_segments(coll, stream, payload))
-    }
-
-    /// Tree/flat fan-out: encode every segment exactly once, then hand the
-    /// same frames to each peer's batch path.
-    fn fan_out(
-        &self,
-        peers: impl IntoIterator<Item = usize>,
-        coll: u32,
-        stream: u32,
-        payload: &[u8],
-    ) -> Result<(), CollectiveError> {
-        let frames = self.encode_segments(coll, stream, payload);
-        for p in peers {
-            self.send_frames(p, &frames)?;
-        }
         Ok(())
     }
 }
@@ -438,481 +355,41 @@ impl Router {
                 .push_back(seg);
         }
     }
-
-    /// Receives and reassembles a whole segmented transfer.
-    fn recv_payload(
-        &mut self,
-        peer: usize,
-        coll: u32,
-        stream: u32,
-        deadline: Duration,
-    ) -> Result<Vec<u8>, CollectiveError> {
-        let first = self.recv_seg(peer, coll, stream, deadline)?;
-        if first.seg != 0 {
-            return Err(CollectiveError::Protocol(format!(
-                "transfer started at segment {} (expected 0)",
-                first.seg
-            )));
-        }
-        let total = first.total;
-        if total == 1 {
-            // Hot path: hand the single segment's payload over without a
-            // copy (the header is drained off the received frame).
-            let mut raw = first.raw;
-            raw.drain(..crate::frame::COLL_OVERHEAD);
-            return Ok(raw);
-        }
-        let mut out = first.payload().to_vec();
-        for i in 1..total {
-            let s = self.recv_seg(peer, coll, stream, deadline)?;
-            if s.seg != i || s.total != total {
-                return Err(CollectiveError::Protocol(format!(
-                    "segment {}/{} arrived where {i}/{total} was expected",
-                    s.seg, s.total
-                )));
-            }
-            out.extend_from_slice(s.payload());
-        }
-        Ok(out)
-    }
 }
 
 // ---------------------------------------------------------------------------
-// Operation schedules (run on the progress thread)
+// The engine driver of the schedule machines
 // ---------------------------------------------------------------------------
 
-#[allow(clippy::too_many_arguments)]
-fn op_broadcast(
-    inner: &Inner,
-    router: &mut Router,
-    coll: u32,
-    stream: u32,
-    payload: Vec<u8>,
-    root: usize,
-    topo: Topology,
-    expect_len: usize,
-    deadline: Duration,
-) -> Result<Vec<u8>, CollectiveError> {
-    let size = inner.size;
-    if size == 1 {
-        return Ok(payload);
-    }
-    let rel = inner.rel_of(inner.rank, root);
-    let out = match topo {
-        Topology::Flat => {
-            if rel == 0 {
-                inner.fan_out(
-                    (0..size).filter(|&p| p != inner.rank),
-                    coll,
-                    stream,
-                    &payload,
-                )?;
-                payload
-            } else {
-                router.recv_payload(root, coll, stream, deadline)?
-            }
-        }
-        Topology::BinomialTree => {
-            let children = tree_children(rel, size);
-            if rel == 0 {
-                inner.fan_out(
-                    children.iter().map(|&(c, _)| inner.abs_of(c, root)),
-                    coll,
-                    stream,
-                    &payload,
-                )?;
-                payload
-            } else {
-                // Pipelined store-and-forward: each segment is relayed to
-                // the children the moment it arrives, bytes verbatim.
-                let parent = inner.abs_of(tree_parent(rel, size).expect("rel > 0"), root);
-                relay_segments(router, coll, stream, parent, deadline, |raw| {
-                    children
-                        .iter()
-                        .map(|&(c, _)| inner.abs_of(c, root))
-                        .try_for_each(|child| inner.forward_raw(child, raw))
-                })?
-            }
-        }
-        Topology::Ring => {
-            if rel == 0 {
-                inner.send_segments(inner.abs_of(1, root), coll, stream, &payload)?;
-                payload
-            } else {
-                let prev = inner.abs_of(rel - 1, root);
-                let next = (rel + 1 < size).then(|| inner.abs_of(rel + 1, root));
-                relay_segments(router, coll, stream, prev, deadline, |raw| match next {
-                    Some(n) => inner.forward_raw(n, raw),
-                    None => Ok(()),
-                })?
-            }
-        }
-    };
-    if out.len() != expect_len {
-        return Err(CollectiveError::Protocol(format!(
-            "broadcast delivered {} bytes where this member expected {expect_len} \
-             (every member must pass a same-length buffer)",
-            out.len()
-        )));
-    }
-    Ok(out)
-}
-
-/// Receives a segmented transfer from `from`, handing each segment's raw
-/// frame bytes to `forward` (re-transmitted verbatim — no re-encode)
-/// before appending its payload to the result: the pipelined
-/// store-and-forward relay at the heart of tree and ring broadcasts.
-fn relay_segments(
-    router: &mut Router,
-    coll: u32,
-    stream: u32,
-    from: usize,
-    deadline: Duration,
-    mut forward: impl FnMut(&[u8]) -> Result<(), CollectiveError>,
-) -> Result<Vec<u8>, CollectiveError> {
-    let mut out = Vec::new();
-    let mut next = 0u32;
-    let mut total = 1u32;
-    while next < total {
-        let s = router.recv_seg(from, coll, stream, deadline)?;
-        if s.seg != next {
-            return Err(CollectiveError::Protocol(format!(
-                "segment {} arrived where {next} was expected",
-                s.seg
-            )));
-        }
-        total = s.total;
-        forward(&s.raw)?;
-        if total == 1 {
-            let mut raw = s.raw;
-            raw.drain(..crate::frame::COLL_OVERHEAD);
-            return Ok(raw);
-        }
-        out.extend_from_slice(s.payload());
-        next += 1;
-    }
-    Ok(out)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn op_reduce(
-    inner: &Inner,
-    router: &mut Router,
-    coll: u32,
-    stream: u32,
-    mut acc: Vec<u8>,
-    root: usize,
-    topo: Topology,
-    dtype: DType,
-    op: ReduceOp,
-    deadline: Duration,
-) -> Result<Vec<u8>, CollectiveError> {
-    let size = inner.size;
-    if size == 1 {
-        return Ok(acc);
-    }
-    let rel = inner.rel_of(inner.rank, root);
-    match topo {
-        Topology::Flat => {
-            if rel == 0 {
-                for p in 1..size {
-                    let v = router.recv_payload(inner.abs_of(p, root), coll, stream, deadline)?;
-                    fold_into(dtype, op, &mut acc, &v)?;
-                }
-                Ok(acc)
-            } else {
-                inner.send_segments(root, coll, stream, &acc)?;
-                Ok(Vec::new())
-            }
-        }
-        // A reduction has no pipeline to win from a chain; ring requests
-        // run the tree schedule.
-        Topology::BinomialTree | Topology::Ring => {
-            for (c, _) in tree_children(rel, size) {
-                let v = router.recv_payload(inner.abs_of(c, root), coll, stream, deadline)?;
-                fold_into(dtype, op, &mut acc, &v)?;
-            }
-            match tree_parent(rel, size) {
-                Some(p) => {
-                    inner.send_segments(inner.abs_of(p, root), coll, stream, &acc)?;
-                    Ok(Vec::new())
-                }
-                None => Ok(acc),
-            }
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn op_scatter(
-    inner: &Inner,
-    router: &mut Router,
-    coll: u32,
-    stream: u32,
-    payload: Vec<u8>,
-    root: usize,
-    topo: Topology,
-    deadline: Duration,
-) -> Result<Vec<u8>, CollectiveError> {
-    let size = inner.size;
-    if size == 1 {
-        return Ok(payload);
-    }
-    let rel = inner.rel_of(inner.rank, root);
-    // The root re-orders its rank-major buffer into relabelled order so
-    // every subtree is one contiguous byte range.
-    let (buf, span, chunk) = if rel == 0 {
-        if !payload.len().is_multiple_of(size) {
-            return Err(CollectiveError::BadArg(format!(
-                "scatter payload of {} bytes does not divide into {size} chunks",
-                payload.len()
-            )));
-        }
-        let chunk = payload.len() / size;
-        let mut rel_buf = Vec::with_capacity(payload.len());
-        for x in 0..size {
-            let r = inner.abs_of(x, root);
-            rel_buf.extend_from_slice(&payload[r * chunk..(r + 1) * chunk]);
-        }
-        (rel_buf, size, chunk)
-    } else {
-        match topo {
-            Topology::Flat => {
-                let own = router.recv_payload(root, coll, stream, deadline)?;
-                return Ok(own);
-            }
-            Topology::BinomialTree | Topology::Ring => {
-                let parent = inner.abs_of(tree_parent(rel, size).expect("rel > 0"), root);
-                let buf = router.recv_payload(parent, coll, stream, deadline)?;
-                let span = tree_span(rel, size);
-                if span == 0 || buf.len() % span != 0 {
-                    return Err(CollectiveError::Protocol(format!(
-                        "scatter subtree of {} bytes does not divide across {span} members",
-                        buf.len()
-                    )));
-                }
-                let chunk = buf.len() / span;
-                (buf, span, chunk)
-            }
-        }
-    };
-    match topo {
-        Topology::Flat => {
-            // Only the root reaches here.
-            for x in 1..span {
-                inner.send_segments(
-                    inner.abs_of(x, root),
-                    coll,
-                    stream,
-                    &buf[x * chunk..(x + 1) * chunk],
-                )?;
-            }
-        }
-        Topology::BinomialTree | Topology::Ring => {
-            for (c, c_span) in tree_children(rel, size) {
-                let lo = (c - rel) * chunk;
-                inner.send_segments(
-                    inner.abs_of(c, root),
-                    coll,
-                    stream,
-                    &buf[lo..lo + c_span * chunk],
-                )?;
-            }
-        }
-    }
-    Ok(buf[..chunk].to_vec())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn op_gather(
-    inner: &Inner,
-    router: &mut Router,
-    coll: u32,
-    stream: u32,
-    contrib: Vec<u8>,
-    root: usize,
-    topo: Topology,
-    deadline: Duration,
-) -> Result<Vec<u8>, CollectiveError> {
-    let size = inner.size;
-    if size == 1 {
-        return Ok(contrib);
-    }
-    let rel = inner.rel_of(inner.rank, root);
-    let chunk = contrib.len();
-    let rel_buf = match topo {
-        Topology::Flat => {
-            if rel != 0 {
-                inner.send_segments(root, coll, stream, &contrib)?;
-                return Ok(Vec::new());
-            }
-            let mut buf = vec![0u8; size * chunk];
-            buf[..chunk].copy_from_slice(&contrib);
-            for x in 1..size {
-                let v = router.recv_payload(inner.abs_of(x, root), coll, stream, deadline)?;
-                if v.len() != chunk {
-                    return Err(mismatched_contribution(v.len(), chunk));
-                }
-                buf[x * chunk..(x + 1) * chunk].copy_from_slice(&v);
-            }
-            buf
-        }
-        Topology::BinomialTree | Topology::Ring => {
-            let span = tree_span(rel, size);
-            let mut buf = vec![0u8; span * chunk];
-            buf[..chunk].copy_from_slice(&contrib);
-            for (c, c_span) in tree_children(rel, size) {
-                let v = router.recv_payload(inner.abs_of(c, root), coll, stream, deadline)?;
-                if v.len() != c_span * chunk {
-                    return Err(mismatched_contribution(v.len(), c_span * chunk));
-                }
-                let lo = (c - rel) * chunk;
-                buf[lo..lo + v.len()].copy_from_slice(&v);
-            }
-            match tree_parent(rel, size) {
-                Some(p) => {
-                    inner.send_segments(inner.abs_of(p, root), coll, stream, &buf)?;
-                    return Ok(Vec::new());
-                }
-                None => buf,
-            }
-        }
-    };
-    // Back to rank-major order for the caller.
-    let mut out = Vec::with_capacity(rel_buf.len());
-    for r in 0..size {
-        let x = inner.rel_of(r, root);
-        out.extend_from_slice(&rel_buf[x * chunk..(x + 1) * chunk]);
-    }
-    Ok(out)
-}
-
-fn mismatched_contribution(got: usize, want: usize) -> CollectiveError {
-    CollectiveError::Protocol(format!(
-        "gather contribution of {got} bytes where {want} were expected \
-         (every member must contribute equally)"
-    ))
-}
-
-fn op_allgather_ring(
-    inner: &Inner,
-    router: &mut Router,
-    coll: u32,
-    contrib: Vec<u8>,
-    deadline: Duration,
-) -> Result<Vec<u8>, CollectiveError> {
-    let size = inner.size;
-    let rank = inner.rank;
-    let chunk = contrib.len();
-    let mut out = vec![0u8; size * chunk];
-    out[rank * chunk..(rank + 1) * chunk].copy_from_slice(&contrib);
-    let right = (rank + 1) % size;
-    let left = (rank + size - 1) % size;
-    // Round r: pass along the block that originated r hops behind us.
-    for round in 0..size - 1 {
-        let send_block = (rank + size - round) % size;
-        inner.send_segments(
-            right,
-            coll,
-            round as u32,
-            &out[send_block * chunk..(send_block + 1) * chunk],
-        )?;
-        let recv_block = (rank + size - round - 1) % size;
-        let v = router.recv_payload(left, coll, round as u32, deadline)?;
-        if v.len() != chunk {
-            return Err(mismatched_contribution(v.len(), chunk));
-        }
-        out[recv_block * chunk..(recv_block + 1) * chunk].copy_from_slice(&v);
-    }
-    Ok(out)
-}
-
-fn op_barrier(
-    inner: &Inner,
-    router: &mut Router,
-    coll: u32,
-    deadline: Duration,
-) -> Result<(), CollectiveError> {
-    // Dissemination barrier: ⌈log₂ n⌉ rounds, no root hotspot, and every
-    // member leaves only after transitively hearing from every other.
-    let size = inner.size;
-    let rank = inner.rank;
-    let mut dist = 1;
-    let mut round = 0u32;
-    while dist < size {
-        inner.send_segments((rank + dist) % size, coll, round, &[])?;
-        router.recv_seg((rank + size - dist) % size, coll, round, deadline)?;
-        dist *= 2;
-        round += 1;
-    }
-    Ok(())
-}
-
-fn run_op(
+/// Runs one operation's [`Machine`] to completion on the progress
+/// runner: the router feeds it the segment it waits on, from the stash or
+/// the inbox, under the operation's deadline.
+fn drive(
     inner: &Inner,
     router: &mut Router,
     req: &mut OpRequest,
 ) -> Result<Vec<u8>, CollectiveError> {
     let deadline = inner.clock.now() + req.timeout;
-    let payload = std::mem::take(&mut req.payload);
-    let coll = req.coll;
-    match req.kind {
-        OpKind::Broadcast => op_broadcast(
-            inner,
-            router,
-            coll,
-            0,
-            payload,
-            req.root,
-            req.topo,
-            req.expect_len,
-            deadline,
-        ),
-        OpKind::Reduce => {
-            let (dtype, op) = req.combine.expect("reduce carries a combine");
-            op_reduce(
-                inner, router, coll, 0, payload, req.root, req.topo, dtype, op, deadline,
-            )
-        }
-        OpKind::Allreduce => {
-            let (dtype, op) = req.combine.expect("allreduce carries a combine");
-            let expect = payload.len();
-            let acc = op_reduce(
-                inner, router, coll, 0, payload, req.root, req.topo, dtype, op, deadline,
-            )?;
-            // `acc` is the full reduction at the root, empty elsewhere.
-            op_broadcast(
-                inner, router, coll, 1, acc, req.root, req.topo2, expect, deadline,
-            )
-        }
-        OpKind::Scatter => op_scatter(
-            inner, router, coll, 0, payload, req.root, req.topo, deadline,
-        ),
-        OpKind::Gather => op_gather(
-            inner, router, coll, 0, payload, req.root, req.topo, deadline,
-        ),
-        OpKind::Allgather => match req.topo {
-            Topology::Ring => op_allgather_ring(inner, router, coll, payload, deadline),
-            _ => {
-                let chunk = payload.len();
-                let all = op_gather(
-                    inner, router, coll, 0, payload, req.root, req.topo, deadline,
-                )?;
-                op_broadcast(
-                    inner,
-                    router,
-                    coll,
-                    1,
-                    all,
-                    req.root,
-                    req.topo2,
-                    chunk * inner.size,
-                    deadline,
-                )
-            }
-        },
-        OpKind::Barrier => op_barrier(inner, router, coll, deadline).map(|()| Vec::new()),
+    let member = Member {
+        group: inner.group,
+        coll: req.coll,
+        rank: inner.rank,
+        size: inner.size,
+        seg_size: inner.cfg.seg_size,
+        pool: Arc::clone(&inner.pool),
+    };
+    let mut machine = Machine::new(member, req.op);
+    let mut out = inner;
+    if let Some(done) = machine.start(std::mem::take(&mut req.payload), &mut out) {
+        return done;
     }
+    while let Some((peer, stream)) = machine.waiting_on() {
+        let seg = router.recv_seg(peer, req.coll, stream, deadline)?;
+        if let Some(done) = machine.on_seg(peer, seg, &mut out) {
+            return done;
+        }
+    }
+    Err(CollectiveError::Protocol("schedule stalled".into()))
 }
 
 // ---------------------------------------------------------------------------
@@ -961,7 +438,7 @@ fn run_progress(inner: &Arc<Inner>, router: &Arc<Mutex<Option<Router>>>) {
             let mut guard = router.lock();
             let r = guard.get_or_insert_with(|| Router::new(Arc::clone(inner)));
             r.prune_below(req.coll);
-            run_op(inner, r, &mut req)
+            drive(inner, r, &mut req)
         };
         inner.stats.ops_completed.inc();
         req.done.complete(result);
@@ -974,8 +451,8 @@ fn run_progress(inner: &Arc<Inner>, router: &Arc<Mutex<Option<Router>>>) {
 
 /// One member's endpoint of a collective group.
 ///
-/// Built over dedicated pairwise NCS connections (a full mesh, as
-/// [`ncs_core::NcsGroup`] uses); the group owns their receive queues
+/// Built over dedicated pairwise NCS connections (a full mesh); the
+/// group owns their receive queues
 /// (through [`NcsConnection::set_receive_sink`]), so do not share the
 /// connections with point-to-point traffic.
 ///
@@ -1162,22 +639,18 @@ impl CollectiveGroup {
         ViewAbortHandle(Arc::downgrade(&self.inner))
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn submit(
-        &self,
-        kind: OpKind,
-        root: usize,
-        payload: Vec<u8>,
-        expect_len: usize,
-        topo: Topology,
-        topo2: Topology,
-        combine: Option<(DType, ReduceOp)>,
-    ) -> Result<Arc<OpCompletion>, CollectiveError> {
+    /// `kind` with the shapes this group's policy picks for `bytes` per
+    /// member.
+    fn op(&self, kind: OpKind, root: usize, bytes: usize) -> Op {
+        Op::new(kind, root, &self.inner.cfg.policy, self.inner.size, bytes)
+    }
+
+    fn submit(&self, op: Op, payload: Vec<u8>) -> Result<Arc<OpCompletion>, CollectiveError> {
         self.inner.check_closed()?;
-        if root >= self.inner.size {
+        if op.root >= self.inner.size {
             return Err(CollectiveError::BadArg(format!(
-                "root {root} out of range for group of {}",
-                self.inner.size
+                "root {} out of range for group of {}",
+                op.root, self.inner.size
             )));
         }
         let done = OpCompletion::new();
@@ -1185,13 +658,8 @@ impl CollectiveGroup {
         let coll = self.inner.next_coll.fetch_add(1, Ordering::Relaxed);
         self.inner.ops.send(OpRequest {
             coll,
-            kind,
-            topo,
-            topo2,
-            root,
+            op,
             payload,
-            expect_len,
-            combine,
             timeout: self.inner.cfg.op_timeout,
             done: Arc::clone(&done),
         });
@@ -1218,11 +686,7 @@ impl CollectiveGroup {
         buf: Vec<T>,
     ) -> Result<CollectiveHandle<Vec<T>>, CollectiveError> {
         let bytes = buf.len() * T::DTYPE.elem_size();
-        let topo = self
-            .inner
-            .cfg
-            .policy
-            .select(OpClass::Broadcast, self.inner.size, bytes);
+        let topo = self.op(OpKind::Broadcast, root, bytes).topo;
         self.ibroadcast_with(root, buf, topo)
     }
 
@@ -1238,13 +702,17 @@ impl CollectiveGroup {
         buf: Vec<T>,
         topo: Topology,
     ) -> Result<CollectiveHandle<Vec<T>>, CollectiveError> {
-        let expect = buf.len() * T::DTYPE.elem_size();
+        let op = Op {
+            topo,
+            topo2: topo,
+            ..self.op(OpKind::Broadcast, root, buf.len() * T::DTYPE.elem_size())
+        };
         let payload = if self.inner.rank == root {
             to_bytes(&buf)
         } else {
             Vec::new()
         };
-        let done = self.submit(OpKind::Broadcast, root, payload, expect, topo, topo, None)?;
+        let done = self.submit(op, payload)?;
         Ok(CollectiveHandle::new(done))
     }
 
@@ -1290,20 +758,9 @@ impl CollectiveGroup {
         contrib: Vec<T>,
         op: ReduceOp,
     ) -> Result<CollectiveHandle<Vec<T>>, CollectiveError> {
-        let topo = self.inner.cfg.policy.select(
-            OpClass::Reduce,
-            self.inner.size,
-            contrib.len() * T::DTYPE.elem_size(),
-        );
-        let done = self.submit(
-            OpKind::Reduce,
-            root,
-            to_bytes(&contrib),
-            0,
-            topo,
-            topo,
-            Some((T::DTYPE, op)),
-        )?;
+        let bytes = contrib.len() * T::DTYPE.elem_size();
+        let op = self.op(OpKind::Reduce(T::DTYPE, op), root, bytes);
+        let done = self.submit(op, to_bytes(&contrib))?;
         Ok(CollectiveHandle::new(done))
     }
 
@@ -1335,18 +792,8 @@ impl CollectiveGroup {
         op: ReduceOp,
     ) -> Result<CollectiveHandle<Vec<T>>, CollectiveError> {
         let bytes = contrib.len() * T::DTYPE.elem_size();
-        let policy = &self.inner.cfg.policy;
-        let topo = policy.select(OpClass::Reduce, self.inner.size, bytes);
-        let topo2 = policy.select(OpClass::Broadcast, self.inner.size, bytes);
-        let done = self.submit(
-            OpKind::Allreduce,
-            0,
-            to_bytes(&contrib),
-            0,
-            topo,
-            topo2,
-            Some((T::DTYPE, op)),
-        )?;
+        let op = self.op(OpKind::Allreduce(T::DTYPE, op), 0, bytes);
+        let done = self.submit(op, to_bytes(&contrib))?;
         Ok(CollectiveHandle::new(done))
     }
 
@@ -1387,12 +834,8 @@ impl CollectiveGroup {
                 self.inner.size
             )));
         }
-        let topo = self
-            .inner
-            .cfg
-            .policy
-            .select(OpClass::Scatter, self.inner.size, 0);
-        let done = self.submit(OpKind::Scatter, root, to_bytes(&data), 0, topo, topo, None)?;
+        let op = self.op(OpKind::Scatter, root, 0);
+        let done = self.submit(op, to_bytes(&data))?;
         Ok(CollectiveHandle::new(done))
     }
 
@@ -1417,20 +860,8 @@ impl CollectiveGroup {
         root: usize,
         contrib: Vec<T>,
     ) -> Result<CollectiveHandle<Vec<T>>, CollectiveError> {
-        let topo = self
-            .inner
-            .cfg
-            .policy
-            .select(OpClass::Gather, self.inner.size, 0);
-        let done = self.submit(
-            OpKind::Gather,
-            root,
-            to_bytes(&contrib),
-            0,
-            topo,
-            topo,
-            None,
-        )?;
+        let op = self.op(OpKind::Gather, root, 0);
+        let done = self.submit(op, to_bytes(&contrib))?;
         Ok(CollectiveHandle::new(done))
     }
 
@@ -1461,22 +892,8 @@ impl CollectiveGroup {
         contrib: Vec<T>,
     ) -> Result<CollectiveHandle<Vec<T>>, CollectiveError> {
         let bytes = contrib.len() * T::DTYPE.elem_size();
-        let policy = &self.inner.cfg.policy;
-        let topo = policy.select(OpClass::Allgather, self.inner.size, bytes);
-        let topo2 = policy.select(
-            OpClass::Broadcast,
-            self.inner.size,
-            bytes.saturating_mul(self.inner.size),
-        );
-        let done = self.submit(
-            OpKind::Allgather,
-            0,
-            to_bytes(&contrib),
-            0,
-            topo,
-            topo2,
-            None,
-        )?;
+        let op = self.op(OpKind::Allgather, 0, bytes);
+        let done = self.submit(op, to_bytes(&contrib))?;
         Ok(CollectiveHandle::new(done))
     }
 
@@ -1498,15 +915,7 @@ impl CollectiveGroup {
     ///
     /// [`CollectiveError::Closed`] at submission.
     pub fn ibarrier(&self) -> Result<CollectiveHandle<()>, CollectiveError> {
-        let done = self.submit(
-            OpKind::Barrier,
-            0,
-            Vec::new(),
-            0,
-            Topology::Flat,
-            Topology::Flat,
-            None,
-        )?;
+        let done = self.submit(self.op(OpKind::Barrier, 0, 0), Vec::new())?;
         Ok(CollectiveHandle::new(done))
     }
 

@@ -23,10 +23,14 @@ pub(crate) const COLL_OVERHEAD: usize = 1 + 4 + 4 + 4 + 4 + 4 + 4;
 /// forwarding nodes (tree and ring relays) re-transmit them verbatim —
 /// no decode/re-encode round trip on the store-and-forward path.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct Seg {
+pub struct Seg {
+    /// The operation's sequence number within the group.
     pub coll: u32,
+    /// The transfer within the operation.
     pub stream: u32,
+    /// This segment's index.
     pub seg: u32,
+    /// Segments in the transfer.
     pub total: u32,
     /// The complete received frame (header + payload).
     pub raw: Vec<u8>,
@@ -71,7 +75,7 @@ fn read_u32(bytes: &[u8], at: usize) -> u32 {
 /// Decodes a frame addressed to `expect_group`, taking ownership of the
 /// frame buffer. Returns `None` for frames that are not well-formed
 /// collective frames for this group.
-pub(crate) fn decode_frame(bytes: Vec<u8>, expect_group: u32) -> Option<Seg> {
+pub fn decode_frame(bytes: Vec<u8>, expect_group: u32) -> Option<Seg> {
     if bytes.len() < COLL_OVERHEAD || bytes[0] != TAG_COLL {
         return None;
     }
@@ -98,6 +102,55 @@ pub(crate) fn decode_frame(bytes: Vec<u8>, expect_group: u32) -> Option<Seg> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Bytes off the network never panic the decoder: they decode to
+        /// a frame whose header agrees with its length, or to nothing.
+        #[test]
+        fn decode_frame_never_panics(
+            bytes in proptest::collection::vec(any::<u8>(), 0..64),
+            tagged: bool,
+            group in 0u32..3,
+        ) {
+            let mut bytes = bytes;
+            if tagged && !bytes.is_empty() {
+                bytes[0] = TAG_COLL;
+            }
+            if let Some(seg) = decode_frame(bytes.clone(), group) {
+                prop_assert!(seg.seg < seg.total);
+                prop_assert_eq!(&seg.raw, &bytes);
+                prop_assert_eq!(COLL_OVERHEAD + seg.payload().len(), seg.raw.len());
+            }
+        }
+
+        /// Headers with arbitrary fields, a group that may be foreign
+        /// and a payload length that may lie about the body.
+        #[test]
+        fn decode_frame_checks_every_header_field(
+            fields in proptest::collection::vec(0u32..48, 6),
+            body in proptest::collection::vec(any::<u8>(), 0..40),
+            own_group: bool,
+            honest_len: bool,
+        ) {
+            let mut fields = fields;
+            if own_group {
+                fields[0] = 7;
+            }
+            if honest_len {
+                fields[5] = body.len() as u32;
+            }
+            let mut bytes = vec![TAG_COLL];
+            for f in &fields {
+                bytes.extend_from_slice(&f.to_be_bytes());
+            }
+            bytes.extend_from_slice(&body);
+            let ok = fields[0] == 7 && fields[5] as usize == body.len() && fields[3] < fields[4];
+            prop_assert_eq!(decode_frame(bytes, 7).is_some(), ok);
+        }
+    }
 
     #[test]
     fn frame_round_trips() {

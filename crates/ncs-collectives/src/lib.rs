@@ -19,6 +19,11 @@
 //! per-connection state machines (so a lossy ACI link heals under
 //! selective repeat without the collectives layer noticing).
 //!
+//! Each operation's schedule is a sans-IO per-rank state machine
+//! ([`schedule::Machine`]); the progress runner drives it over real links
+//! and `ncs-runtime`'s `SimWorld` drives the same machines on virtual
+//! time.
+//!
 //! # Example
 //!
 //! Two co-located members allreduce a vector (real applications put each
@@ -58,6 +63,7 @@ mod datatype;
 mod engine;
 mod frame;
 mod handle;
+pub mod schedule;
 mod topology;
 
 pub use datatype::{DType, ReduceOp, Scalar};

@@ -68,20 +68,6 @@ pub(crate) fn tree_children(rel: usize, size: usize) -> Vec<(usize, usize)> {
     out
 }
 
-/// Size of `rel`'s subtree (the contiguous relabelled range it roots).
-pub(crate) fn tree_span(rel: usize, size: usize) -> usize {
-    let (mut lo, mut hi) = (0, size);
-    while lo != rel {
-        let mid = lo + (hi - lo).div_ceil(2);
-        if rel < mid {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    hi - lo
-}
-
 /// The operation classes the policy distinguishes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpClass {
@@ -141,6 +127,20 @@ impl TopologyPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Size of `rel`'s subtree (the contiguous relabelled range it roots).
+    fn tree_span(rel: usize, size: usize) -> usize {
+        let (mut lo, mut hi) = (0, size);
+        while lo != rel {
+            let mid = lo + (hi - lo).div_ceil(2);
+            if rel < mid {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        hi - lo
+    }
 
     #[test]
     fn tree_covers_every_rank_exactly_once() {

@@ -2,7 +2,7 @@
 //! friends) for groups of 2–8 members across all four communication
 //! interfaces, under both thread packages, including a seeded-loss ACI
 //! run that heals through the error-control plane, nonblocking overlap,
-//! and barrier races against the legacy `NcsGroup` barrier.
+//! and barrier races between two groups on the same nodes.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -672,8 +672,7 @@ fn mismatched_gather_contributions_error() {
 }
 
 #[test]
-fn collectives_barrier_races_legacy_group_barrier() {
-    use ncs_core::{MulticastAlgo, NcsGroup};
+fn barriers_of_two_groups_race_on_shared_nodes() {
     let pkg = kernel_pkg();
     let n = 3;
     let nodes: Vec<NcsNode> = (0..n)
@@ -684,46 +683,38 @@ fn collectives_barrier_races_legacy_group_barrier() {
         })
         .collect();
     attach_mesh(&nodes, Iface::Hpi);
-    // Two independent link meshes over the same peers: one for the legacy
-    // NcsGroup barrier, one for the collectives engine.
-    let legacy_links = connect_mesh(&nodes, &ConnectionConfig::reliable());
-    let coll_links = connect_mesh(&nodes, &ConnectionConfig::reliable());
-    let mut legacy = Vec::new();
+    // Two independent link meshes over the same peers, one group on each.
+    let links_a = connect_mesh(&nodes, &ConnectionConfig::reliable());
+    let links_b = connect_mesh(&nodes, &ConnectionConfig::reliable());
     let mut groups = Vec::new();
-    for (rank, (node, (ll, cl))) in nodes
+    for (rank, (node, (la, lb))) in nodes
         .iter()
-        .zip(legacy_links.into_iter().zip(coll_links))
+        .zip(links_a.into_iter().zip(links_b))
         .enumerate()
     {
-        legacy.push(Arc::new(
-            NcsGroup::new(node, 9, rank, ll, MulticastAlgo::SpanningTree).expect("legacy group"),
-        ));
-        groups.push(Arc::new(
-            CollectiveGroup::new(node, 1, rank, cl).expect("collective group"),
-        ));
+        for (id, links) in [(9, la), (1, lb)] {
+            groups.push(Arc::new(
+                CollectiveGroup::new(node, id, rank, links).expect("collective group"),
+            ));
+        }
     }
-    // Per member, the legacy barrier and the collectives barrier run
-    // concurrently on separate threads for several rounds: stale releases
-    // of one must never starve the other.
-    let mut handles = Vec::new();
-    for rank in 0..n {
-        let lg = Arc::clone(&legacy[rank]);
-        handles.push(std::thread::spawn(move || {
-            for _ in 0..5 {
-                lg.barrier(Duration::from_secs(10)).expect("legacy barrier");
-            }
-        }));
-        let cg = Arc::clone(&groups[rank]);
-        handles.push(std::thread::spawn(move || {
-            for _ in 0..5 {
-                cg.barrier().expect("collective barrier");
-            }
-        }));
-    }
+    // Per member, the two groups' barriers run concurrently on separate
+    // threads for several rounds: one group's traffic must never starve
+    // the other's.
+    let handles: Vec<_> = groups
+        .iter()
+        .map(|g| {
+            let g = Arc::clone(g);
+            std::thread::spawn(move || {
+                for _ in 0..5 {
+                    g.barrier().expect("barrier");
+                }
+            })
+        })
+        .collect();
     for h in handles {
         h.join().expect("barrier thread");
     }
-    drop(legacy);
     drop(groups);
     for node in nodes {
         node.shutdown();

@@ -1840,15 +1840,6 @@ impl NcsConnection {
         Ok(self.shared.delivery.try_take(None)?.map(MsgView::into_vec))
     }
 
-    /// Non-blocking receive, swallowing connection state.
-    #[deprecated(
-        since = "0.1.0",
-        note = "silently swallows connection errors; use try_recv_result()"
-    )]
-    pub fn try_recv(&self) -> Option<Vec<u8>> {
-        self.try_recv_result().ok().flatten()
-    }
-
     /// Hands this connection's untagged receive stream to `sink`: every
     /// untagged message — including any already queued — is pushed into
     /// the callback as it is reassembled, and the connection's terminal

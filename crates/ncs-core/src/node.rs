@@ -129,7 +129,7 @@ pub(crate) struct NodeInner {
     /// pool, thread package) registers its metrics here.
     registry: Arc<Registry>,
     /// The node's time source: every deadline the runtime arms against
-    /// this node (collective op timeouts, group barrier waits) is
+    /// this node (collective op timeouts, link-down grace periods) is
     /// computed from this clock, so a simulated node can run them under
     /// virtual time (see [`crate::clock`]).
     clock: Arc<dyn Clock>,

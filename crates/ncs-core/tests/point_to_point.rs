@@ -1,16 +1,15 @@
 //! End-to-end tests of NCS point-to-point communication over the HPI
 //! interface: every flow-control x error-control combination, the §3.1
-//! bypass, the §4.2 direct mode, and loss recovery.
+//! bypass, the §4.2 direct mode, and loss recovery — plus the paper's
+//! group communication (multicast and barrier) over those connections.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
+use ncs_collectives::{CollectiveConfig, CollectiveError, CollectiveGroup, Topology};
 use ncs_core::link::HpiLinkPair;
-use ncs_core::{
-    ConnectionConfig, ErrorControlAlg, FlowControlAlg, GroupError, MulticastAlgo, NcsGroup,
-    NcsNode, SendError,
-};
+use ncs_core::{ConnectionConfig, ErrorControlAlg, FlowControlAlg, NcsNode, SendError};
 
 /// Builds two linked nodes over HPI.
 fn linked_nodes(ring: usize) -> (NcsNode, NcsNode) {
@@ -358,11 +357,17 @@ fn accept_timeout() {
 }
 
 // ---------------------------------------------------------------------------
-// Groups
+// Groups: the collectives engine serves group communication. Repetitive
+// multicast is a flat broadcast, spanning-tree multicast a binomial-tree
+// broadcast from any origin, and the group barrier the dissemination
+// barrier.
 // ---------------------------------------------------------------------------
 
-/// Builds `n` nodes in a full mesh over HPI and one group per node.
-fn build_group(n: usize, algo: MulticastAlgo) -> Vec<(NcsNode, Arc<NcsGroup>)> {
+type Members = Vec<(NcsNode, Arc<CollectiveGroup>)>;
+
+/// Builds `n` nodes in a full mesh over HPI and one collective group per
+/// node.
+fn build_group(n: usize, cfg: CollectiveConfig) -> Members {
     let nodes: Vec<NcsNode> = (0..n)
         .map(|i| NcsNode::builder(&format!("n{i}")).build())
         .collect();
@@ -392,172 +397,155 @@ fn build_group(n: usize, algo: MulticastAlgo) -> Vec<(NcsNode, Arc<NcsGroup>)> {
         .zip(conns)
         .enumerate()
         .map(|(rank, (node, links))| {
-            let group = Arc::new(NcsGroup::new(&node, 1, rank, links, algo).unwrap());
-            (node, group)
+            let group = CollectiveGroup::with_config(&node, 1, rank, links, cfg).unwrap();
+            (node, Arc::new(group))
         })
         .collect()
 }
 
-#[test]
-fn repetitive_multicast_reaches_all() {
-    let members = build_group(4, MulticastAlgo::Repetitive);
-    members[0].1.multicast(b"to everyone").unwrap();
-    for (rank, (_, g)) in members.iter().enumerate().skip(1) {
-        let (origin, data) = g.recv_timeout(Duration::from_secs(10)).unwrap();
-        assert_eq!(origin, 0, "rank {rank}");
-        assert_eq!(data, b"to everyone");
-    }
-    for (n, g) in &members {
-        g.leave();
+/// Runs `f` on every member at once (a collective needs all of them) and
+/// returns the results in rank order.
+fn on_all<R: Send>(members: &Members, f: impl Fn(usize, &CollectiveGroup) -> R + Sync) -> Vec<R> {
+    std::thread::scope(|s| {
+        let f = &f;
+        let handles: Vec<_> = members
+            .iter()
+            .enumerate()
+            .map(|(rank, (_, g))| s.spawn(move || f(rank, g)))
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    })
+}
+
+fn leave(members: Members) {
+    for (n, g) in members {
+        drop(g);
         n.shutdown();
     }
+}
+
+#[test]
+fn repetitive_multicast_reaches_all() {
+    let members = build_group(4, CollectiveConfig::default());
+    let body = b"to everyone".to_vec();
+    let got = on_all(&members, |rank, g| {
+        let buf = if rank == 0 {
+            body.clone()
+        } else {
+            vec![0; body.len()]
+        };
+        g.broadcast_with(0, buf, Topology::Flat).unwrap()
+    });
+    for (rank, data) in got.iter().enumerate() {
+        assert_eq!(data, &body, "rank {rank}");
+    }
+    // Repetitive: the origin sent one copy to every other member.
+    assert_eq!(members[0].1.stats().frames_sent, 3);
+    leave(members);
 }
 
 #[test]
 fn spanning_tree_multicast_reaches_all_from_any_origin() {
-    let members = build_group(5, MulticastAlgo::SpanningTree);
+    let members = build_group(5, CollectiveConfig::default());
     for origin in 0..members.len() {
-        let body = format!("from {origin}");
-        members[origin].1.multicast(body.as_bytes()).unwrap();
-        for (rank, (_, g)) in members.iter().enumerate() {
-            if rank == origin {
-                continue;
-            }
-            let (o, data) = g.recv_timeout(Duration::from_secs(10)).unwrap();
-            assert_eq!(o, origin, "receiver {rank}");
-            assert_eq!(data, body.as_bytes());
+        let body = format!("from {origin}").into_bytes();
+        let sent_before = members[origin].1.stats().frames_sent;
+        let got = on_all(&members, |rank, g| {
+            let buf = if rank == origin {
+                body.clone()
+            } else {
+                vec![0; body.len()]
+            };
+            g.broadcast_with(origin, buf, Topology::BinomialTree)
+                .unwrap()
+        });
+        for (rank, data) in got.iter().enumerate() {
+            assert_eq!(data, &body, "receiver {rank}, origin {origin}");
         }
+        // The origin reaches 4 members with ⌈log₂ 5⌉ = 3 copies.
+        assert_eq!(members[origin].1.stats().frames_sent - sent_before, 3);
     }
-    for (n, g) in &members {
-        g.leave();
-        n.shutdown();
-    }
+    leave(members);
 }
 
 #[test]
 fn barrier_synchronises_members() {
-    let members = build_group(4, MulticastAlgo::SpanningTree);
-    let flag = Arc::new(std::sync::atomic::AtomicU32::new(0));
-    let mut handles = Vec::new();
-    for (i, (_, g)) in members.iter().enumerate() {
-        let g = Arc::clone(g);
-        let flag = Arc::clone(&flag);
-        handles.push(std::thread::spawn(move || {
-            // Stagger arrivals.
-            std::thread::sleep(Duration::from_millis(10 * i as u64));
-            flag.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            g.barrier(Duration::from_secs(10)).unwrap();
-            // After the barrier everyone must have arrived.
-            assert_eq!(flag.load(std::sync::atomic::Ordering::SeqCst), 4);
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
-    for (n, g) in &members {
-        g.leave();
-        n.shutdown();
-    }
+    let members = build_group(4, CollectiveConfig::default());
+    let flag = std::sync::atomic::AtomicU32::new(0);
+    on_all(&members, |rank, g| {
+        // Stagger arrivals.
+        std::thread::sleep(Duration::from_millis(10 * rank as u64));
+        flag.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        g.barrier().unwrap();
+        // After the barrier everyone must have arrived.
+        assert_eq!(flag.load(std::sync::atomic::Ordering::SeqCst), 4);
+    });
+    leave(members);
 }
 
 #[test]
 fn repeated_barriers() {
-    let members = build_group(3, MulticastAlgo::SpanningTree);
+    let members = build_group(3, CollectiveConfig::default());
     for _round in 0..5 {
-        let mut handles = Vec::new();
-        for (_, g) in &members {
-            let g = Arc::clone(g);
-            handles.push(std::thread::spawn(move || {
-                g.barrier(Duration::from_secs(10)).unwrap()
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
+        on_all(&members, |_, g| g.barrier().unwrap());
     }
-    for (n, g) in &members {
-        g.leave();
-        n.shutdown();
-    }
+    leave(members);
 }
 
 #[test]
 fn overlapping_barrier_epochs_from_concurrent_threads() {
     // Two threads per member run interleaved barrier rounds on the SAME
-    // group: epochs overlap arbitrarily, so every call keeps consuming
-    // (and must keep handing back) messages belonging to its sibling's
-    // epoch. The seed pinned held-back messages until exit — two calls
-    // could each hold what the other was waiting for.
-    let members = build_group(3, MulticastAlgo::SpanningTree);
-    let mut handles = Vec::new();
-    for (_, g) in &members {
-        for t in 0..2 {
-            let g = Arc::clone(g);
-            handles.push(std::thread::spawn(move || {
-                for round in 0..3 {
-                    g.barrier(Duration::from_secs(20))
-                        .unwrap_or_else(|e| panic!("thread {t} round {round}: {e}"));
-                }
-            }));
-        }
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
-    for (n, g) in &members {
-        g.leave();
-        n.shutdown();
-    }
+    // group: the group serialises each member's submissions, so the
+    // epochs pair up across members whatever the interleaving.
+    let members = build_group(3, CollectiveConfig::default());
+    on_all(&members, |_, g| {
+        std::thread::scope(|s| {
+            for t in 0..2 {
+                s.spawn(move || {
+                    for round in 0..3 {
+                        g.barrier()
+                            .unwrap_or_else(|e| panic!("thread {t} round {round}: {e}"));
+                    }
+                });
+            }
+        });
+    });
+    leave(members);
 }
 
 #[test]
 fn barrier_timeout_preserves_future_epoch_arrivals() {
-    // Regression for the seed dropping held-back arrivals on the timeout
-    // path: rank 0 times out an epoch while holding a child's arrival for
-    // the NEXT epoch; that arrival must survive for the next call.
-    let members = build_group(3, MulticastAlgo::SpanningTree);
-    let g0 = Arc::clone(&members[0].1);
-    let g1 = Arc::clone(&members[1].1);
-    let g2 = Arc::clone(&members[2].1);
-    // rank 1 enters (and times out of) two barrier epochs: its arrivals
-    // for epochs 1 and 2 now sit in rank 0's mailbox.
-    assert_eq!(
-        g1.barrier(Duration::from_millis(300)),
-        Err(GroupError::Timeout)
+    let members = build_group(
+        2,
+        CollectiveConfig {
+            op_timeout: Duration::from_millis(300),
+            ..CollectiveConfig::default()
+        },
     );
-    assert_eq!(
-        g1.barrier(Duration::from_millis(300)),
-        Err(GroupError::Timeout)
-    );
-    // rank 0's epoch 1 consumes (1, epoch 1), holds (1, epoch 2) back,
-    // and times out waiting for rank 2 — the held arrival must be
-    // re-enqueued, not dropped.
-    assert_eq!(
-        g0.barrier(Duration::from_millis(400)),
-        Err(GroupError::Timeout)
-    );
-    // rank 2 burns its epoch 1 (no release wave ever came).
-    assert_eq!(
-        g2.barrier(Duration::from_millis(300)),
-        Err(GroupError::Timeout)
-    );
-    // Epoch 2 can now complete for rank 0 and rank 2: rank 0 needs the
-    // preserved (1, epoch 2) plus rank 2's fresh (2, epoch 2).
-    let t0 = std::thread::spawn(move || g0.barrier(Duration::from_secs(10)));
-    let t2 = std::thread::spawn(move || g2.barrier(Duration::from_secs(10)));
-    assert_eq!(t0.join().unwrap(), Ok(()));
-    assert_eq!(t2.join().unwrap(), Ok(()));
-    for (n, g) in &members {
-        g.leave();
-        n.shutdown();
-    }
+    let (g0, g1) = (&members[0].1, &members[1].1);
+    // Rank 0 enters epoch 0 alone and times out; its token stays queued
+    // at rank 1.
+    assert_eq!(g0.barrier(), Err(CollectiveError::Timeout));
+    // Rank 1's epoch 0 completes on that preserved arrival.
+    g1.barrier().unwrap();
+    // Rank 1 enters epoch 1 first: its token reaches rank 0 before rank 0
+    // asks for it, behind rank 1's now-stale epoch-0 token.
+    let h1 = g1.ibarrier().unwrap();
+    std::thread::sleep(Duration::from_millis(50));
+    assert_eq!(g0.barrier(), Ok(()));
+    assert_eq!(h1.wait(), Ok(()));
+    leave(members);
 }
 
 #[test]
 fn group_membership_validation() {
     let node = NcsNode::builder("x").build();
-    let err = NcsGroup::new(&node, 1, 0, HashMap::new(), MulticastAlgo::Repetitive);
     // A singleton group is valid (size 1, no links needed).
-    assert!(err.is_ok());
+    assert!(CollectiveGroup::new(&node, 1, 0, HashMap::new()).is_ok());
+    // Every other member needs a link.
+    assert!(matches!(
+        CollectiveGroup::new(&node, 1, 1, HashMap::new()),
+        Err(CollectiveError::BadArg(_))
+    ));
     node.shutdown();
 }

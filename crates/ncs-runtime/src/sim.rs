@@ -5,9 +5,10 @@
 //! item 3 asks for the opposite extreme — thousands of ranks, adversarial
 //! networks, reproducible failures. This module provides both halves:
 //!
-//! * [`SimWorld`] — a pure discrete-event engine. Ranks are message-level
-//!   state machines (binomial-tree broadcast/reduce, dissemination
-//!   barrier) exchanging messages through a central virtual-time
+//! * [`SimWorld`] — a pure discrete-event engine. Every rank runs the
+//!   collectives engine's own schedule machines
+//!   ([`ncs_collectives::schedule`]: the production tree, frames and
+//!   fold order), exchanging frames through a central virtual-time
 //!   `TimeQueue`; per-direction link policies (latency, jitter, loss —
 //!   [`LinkPolicy`], shared with the SIM transport) decide each
 //!   message's fate with seeded draws, and lost messages retransmit on an
@@ -30,14 +31,18 @@
 //! `docs/SIMULATION.md`.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use atm_sim::SimTime;
+use atm_sim::{splitmix64, SimTime};
+use ncs_collectives::schedule::{decode_frame, Done, Machine, Member, Op, OpKind, Outbox, Seg};
+use ncs_collectives::{
+    CollectiveConfig, CollectiveError, CollectiveGroup, DType, ReduceOp, TopologyPolicy,
+};
 use ncs_core::link::SimLinkPair;
-use ncs_core::{Clock, NcsConnection, NcsNode, VirtualClock};
+use ncs_core::{BufPool, Clock, ConnectionConfig, NcsConnection, NcsNode, VirtualClock};
 use ncs_obs::Registry;
 use ncs_transport::sim::{LinkPolicy, SimNet};
 use rand::rngs::StdRng;
@@ -45,8 +50,6 @@ use rand::{Rng, SeedableRng};
 
 use crate::cluster::rank_name;
 use crate::session::{Session, SessionError};
-use ncs_collectives::CollectiveGroup;
-use ncs_core::ConnectionConfig;
 
 // ---------------------------------------------------------------------------
 // Scenario
@@ -639,30 +642,18 @@ impl SimReport {
     }
 }
 
-#[derive(Debug, Clone, PartialEq)]
-enum MsgKind {
-    /// Broadcast payload.
-    Data,
-    /// Reduce partial.
-    Part,
-    /// Dissemination-barrier token (round in `round`).
-    Token,
-}
-
-#[derive(Debug, Clone, PartialEq)]
+/// One frame in flight: a production collective frame and its sender.
+#[derive(Debug, Clone)]
 struct Msg {
-    gen: u64,
-    kind: MsgKind,
-    round: u32,
-    value: u64,
     from: u32,
+    seg: Seg,
 }
 
 #[derive(Debug)]
 enum EvKind {
     Arrive { to: u32, msg: Msg },
     Retry { to: u32, msg: Msg, attempt: u32 },
-    Deadline { gen: u64 },
+    Deadline { coll: u32 },
     Chaos { idx: usize },
 }
 
@@ -701,49 +692,45 @@ struct DirLink {
     rng: StdRng,
 }
 
-#[derive(Debug, Clone, PartialEq)]
-enum RankOp {
-    Idle,
-    Bcast {
-        have: bool,
-    },
-    Reduce {
-        pending: usize,
-        acc: u64,
-    },
-    /// `phase` 0 = reduce toward rank 0, 1 = broadcast of the result.
-    Allreduce {
-        phase: u8,
-        pending: usize,
-        acc: u64,
-    },
-    Barrier {
-        round: u32,
-        got: Vec<bool>,
-    },
+/// One rank's part of the current op: the production schedule machine,
+/// the frames that arrived before it asked for them, and its result.
+#[derive(Debug, Default)]
+struct RankState {
+    machine: Option<Machine>,
+    stash: BTreeMap<(usize, u32), VecDeque<Seg>>,
+    result: Option<Vec<u8>>,
 }
+
+/// A machine's sends, queued for the link model.
+#[derive(Debug, Default)]
+struct Sends(Vec<(usize, Vec<u8>)>);
+
+impl Outbox for Sends {
+    fn send(&mut self, peer: usize, frames: &[&[u8]]) -> Result<(), CollectiveError> {
+        self.0.extend(frames.iter().map(|f| (peer, f.to_vec())));
+        Ok(())
+    }
+}
+
+/// The group id on SimWorld's frames.
+const SIM_GROUP: u32 = 0;
 
 /// SplitMix64 over `(seed, from, to)`: a direction's RNG stream depends
 /// only on the scenario seed and the pair, not on creation order.
 fn mix_seed(seed: u64, from: u32, to: u32) -> u64 {
-    let mut z = seed ^ (u64::from(from) << 32 | u64::from(to)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    splitmix64(seed ^ (u64::from(from) << 32 | u64::from(to)).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
-/// Binomial-tree parent of virtual rank `v` (clear the highest set bit).
-fn tree_parent(v: u32) -> u32 {
-    v ^ (1 << (31 - v.leading_zeros()))
-}
-
-/// Binomial-tree children of virtual rank `v` in a world of `n`.
-fn tree_children(v: u32, n: u32) -> Vec<u32> {
-    let start = if v == 0 { 0 } else { 32 - v.leading_zeros() };
-    (start..32)
-        .map(|k| v | (1 << k))
-        .take_while(|c| *c < n)
-        .collect()
+/// A frame for the trace: `c<coll>/s<stream> <seg>/<total> <bytes>B`.
+fn describe(seg: &Seg) -> String {
+    format!(
+        "c{}/s{} {}/{} {}B",
+        seg.coll,
+        seg.stream,
+        seg.seg,
+        seg.total,
+        seg.raw.len()
+    )
 }
 
 /// The deterministic thousand-rank engine. See the module docs.
@@ -756,10 +743,13 @@ pub struct SimWorld {
     links: HashMap<(u32, u32), DirLink>,
     alive: Vec<bool>,
     isolated: Vec<bool>,
-    states: Vec<RankOp>,
+    ranks: Vec<RankState>,
     complete: Vec<bool>,
     remaining: usize,
-    gen: u64,
+    /// The current op's sequence number (the frames' `coll`).
+    coll: u32,
+    next_coll: u32,
+    pool: Arc<BufPool>,
     rto: Duration,
     trace: Vec<String>,
     events_processed: u64,
@@ -784,10 +774,12 @@ impl SimWorld {
             links: HashMap::new(),
             alive: vec![true; n],
             isolated: vec![false; n],
-            states: vec![RankOp::Idle; n],
+            ranks: (0..n).map(|_| RankState::default()).collect(),
             complete: vec![false; n],
             remaining: 0,
-            gen: 0,
+            coll: 0,
+            next_coll: 0,
+            pool: BufPool::new(),
             rto,
             trace: Vec::new(),
             events_processed: 0,
@@ -804,11 +796,7 @@ impl SimWorld {
     /// Runs the scenario's program to completion and reports.
     pub fn run(&mut self) -> SimReport {
         let ops = self.scenario.ops.clone();
-        let mut outcomes = Vec::with_capacity(ops.len());
-        for op in ops {
-            outcomes.push(self.run_op(&op));
-        }
-        let counter = |name: &str| self.registry.counter(name, "", &[]).get();
+        let outcomes: Vec<OpOutcome> = ops.iter().map(|op| self.run_op(op)).collect();
         let completed = outcomes.iter().filter(|o| o.completed).count() as u64;
         self.registry
             .counter("sim_ops_completed_total", "ops completed", &[])
@@ -816,7 +804,6 @@ impl SimWorld {
         self.registry
             .counter("sim_ops_failed_total", "ops failed", &[])
             .add(outcomes.len() as u64 - completed);
-        let _ = counter; // counters materialise below via snapshot
         SimReport {
             scenario: self.scenario.name.clone(),
             seed: self.scenario.seed,
@@ -864,9 +851,9 @@ impl SimWorld {
         })
     }
 
-    /// One logical message transmission attempt from `msg.from` to `to`.
-    /// A lost attempt re-arms on the RTO clock — the engine-level stand-in
-    /// for NCS selective-repeat.
+    /// One frame transmission attempt from `msg.from` to `to`. A lost
+    /// attempt re-arms on the RTO clock — the engine-level stand-in for
+    /// NCS selective-repeat.
     fn send(&mut self, to: u32, msg: Msg, attempt: u32) {
         if !self.alive[msg.from as usize] {
             return;
@@ -883,14 +870,11 @@ impl SimWorld {
         let blocked = !link.up || isolated;
         let lost = !blocked && link.loss > 0.0 && link.rng.gen_bool(link.loss);
         if blocked || lost {
-            let jitter = Duration::ZERO;
-            let _ = jitter;
             self.count("sim_messages_dropped_total", "messages dropped");
             self.trace.push(format!(
-                "{now} drop {} {}->{} attempt {attempt}{}",
-                kind_name(&msg.kind),
+                "{now} drop {} {}->{to} attempt {attempt}{}",
+                describe(&msg.seg),
                 msg.from,
-                to,
                 if blocked { " (link down)" } else { "" },
             ));
             self.push_ev(now + rto, EvKind::Retry { to, msg, attempt });
@@ -904,10 +888,9 @@ impl SimWorld {
         };
         let due = now + link.latency + jitter;
         self.trace.push(format!(
-            "{now} send {} {}->{} attempt {attempt} due {due}",
-            kind_name(&msg.kind),
+            "{now} send {} {}->{to} attempt {attempt} due {due}",
+            describe(&msg.seg),
             msg.from,
-            to,
         ));
         self.push_ev(due, EvKind::Arrive { to, msg });
     }
@@ -929,314 +912,107 @@ impl SimWorld {
         }
     }
 
-    fn mark_complete(&mut self, rank: u32) {
-        let slot = &mut self.complete[rank as usize];
-        if !*slot {
-            *slot = true;
-            self.remaining -= 1;
+    /// Puts `rank`'s sends on the wire and records its outcome, if any.
+    fn step(&mut self, rank: u32, done: Done, sends: Sends) {
+        for (to, frame) in sends.0 {
+            if let Some(seg) = decode_frame(frame, SIM_GROUP) {
+                self.send(to as u32, Msg { from: rank, seg }, 0);
+            }
+        }
+        match done {
+            Some(Ok(v)) => {
+                self.ranks[rank as usize].result = Some(v);
+                if !self.complete[rank as usize] {
+                    self.complete[rank as usize] = true;
+                    self.remaining -= 1;
+                }
+            }
+            Some(Err(e)) => {
+                let now = self.now;
+                self.trace.push(format!("{now} error {rank}: {e}"));
+            }
+            None => {}
         }
     }
 
-    fn barrier_rounds(n: u32) -> u32 {
-        32 - (n - 1).leading_zeros()
-    }
-
-    /// Starts `op` for every alive rank: initialises state machines and
-    /// fires the initial message wave.
+    /// Starts `op` on every alive rank: each gets the production schedule
+    /// machine the engine would run — same topology policy, segment size
+    /// and frames — with its rank id as the `u64` contribution (the root
+    /// broadcasts `100 + root`).
     fn start_op(&mut self, op: &SimOp) {
         let n = self.scenario.ranks;
-        self.gen += 1;
+        self.coll = self.next_coll;
+        self.next_coll += 1;
         self.complete = vec![false; n as usize];
         self.remaining = 0;
-        let gen = self.gen;
+        let size = n as usize;
+        let (kind, root) = match *op {
+            SimOp::Broadcast { root, .. } => (OpKind::Broadcast, root),
+            SimOp::Reduce { root, .. } => (OpKind::Reduce(DType::U64, ReduceOp::Sum), root),
+            SimOp::Allreduce { .. } => (OpKind::Allreduce(DType::U64, ReduceOp::Sum), 0),
+            SimOp::Barrier { .. } | SimOp::Advance { .. } => (OpKind::Barrier, 0),
+        };
+        let spec = Op::new(kind, root as usize, &TopologyPolicy::default(), size, 8);
         for r in 0..n {
+            self.ranks[r as usize] = RankState::default();
             if !self.alive[r as usize] {
                 self.complete[r as usize] = true;
                 continue;
             }
             self.remaining += 1;
-            self.states[r as usize] = match op {
-                SimOp::Broadcast { root, .. } => RankOp::Bcast { have: r == *root },
-                SimOp::Reduce { root, .. } => RankOp::Reduce {
-                    pending: tree_children((r + n - root) % n, n).len(),
-                    acc: u64::from(r),
-                },
-                SimOp::Allreduce { .. } => RankOp::Allreduce {
-                    phase: 0,
-                    pending: tree_children(r, n).len(),
-                    acc: u64::from(r),
-                },
-                SimOp::Barrier { .. } => RankOp::Barrier {
-                    round: 0,
-                    got: vec![false; Self::barrier_rounds(n) as usize],
-                },
-                SimOp::Advance { .. } => RankOp::Idle,
+            let payload = match kind {
+                OpKind::Broadcast if r == root => (100 + u64::from(root)).to_le_bytes().to_vec(),
+                OpKind::Broadcast | OpKind::Barrier => Vec::new(),
+                _ => u64::from(r).to_le_bytes().to_vec(),
             };
-        }
-        // The initial wave.
-        match *op {
-            SimOp::Broadcast { root, .. } => {
-                for c in tree_children(0, n) {
-                    let to = (c + root) % n;
-                    self.send(
-                        to,
-                        Msg {
-                            gen,
-                            kind: MsgKind::Data,
-                            round: 0,
-                            value: 100 + u64::from(root),
-                            from: root,
-                        },
-                        0,
-                    );
-                }
-                if self.alive[root as usize] {
-                    self.mark_complete(root);
-                }
-            }
-            SimOp::Reduce { .. } | SimOp::Allreduce { .. } => {
-                let root = match *op {
-                    SimOp::Reduce { root, .. } => root,
-                    _ => 0,
-                };
-                // Leaves send their partials immediately.
-                for r in 0..n {
-                    if !self.alive[r as usize] {
-                        continue;
-                    }
-                    let v = (r + n - root) % n;
-                    if tree_children(v, n).is_empty() {
-                        let parent = (tree_parent(v) + root) % n;
-                        self.send(
-                            parent,
-                            Msg {
-                                gen,
-                                kind: MsgKind::Part,
-                                round: 0,
-                                value: u64::from(r),
-                                from: r,
-                            },
-                            0,
-                        );
-                        if matches!(*op, SimOp::Reduce { .. }) {
-                            self.mark_complete(r);
-                        }
-                    }
-                }
-            }
-            SimOp::Barrier { .. } => {
-                for r in 0..n {
-                    if !self.alive[r as usize] {
-                        continue;
-                    }
-                    let to = (r + 1) % n;
-                    self.send(
-                        to,
-                        Msg {
-                            gen,
-                            kind: MsgKind::Token,
-                            round: 0,
-                            value: 0,
-                            from: r,
-                        },
-                        0,
-                    );
-                }
-            }
-            SimOp::Advance { .. } => {}
+            let member = Member {
+                group: SIM_GROUP,
+                coll: self.coll,
+                rank: r as usize,
+                size,
+                seg_size: CollectiveConfig::default().seg_size,
+                pool: Arc::clone(&self.pool),
+            };
+            let mut machine = Machine::new(member, spec);
+            let mut sends = Sends::default();
+            let done = machine.start(payload, &mut sends);
+            self.ranks[r as usize].machine = Some(machine);
+            self.step(r, done, sends);
         }
     }
 
-    /// Feeds an arrived message to `to`'s state machine.
-    fn deliver(&mut self, to: u32, msg: Msg, op: &SimOp) {
-        let n = self.scenario.ranks;
-        let gen = self.gen;
+    /// Hands an arrived frame to `to`'s machine through its stash, exactly
+    /// as the engine's router does: the machine consumes segments in its
+    /// own order, whatever order they arrive in.
+    fn deliver(&mut self, to: u32, msg: Msg) {
+        let now = self.now;
+        let (from, desc) = (msg.from, describe(&msg.seg));
         if !self.alive[to as usize] {
-            let now = self.now;
-            self.trace.push(format!(
-                "{now} dead-drop {} {}->{to}",
-                kind_name(&msg.kind),
-                msg.from
-            ));
+            self.trace
+                .push(format!("{now} dead-drop {desc} {from}->{to}"));
             return;
         }
         self.count("sim_messages_delivered_total", "messages delivered");
-        let now = self.now;
-        self.trace.push(format!(
-            "{now} deliver {} {}->{to} value {}",
-            kind_name(&msg.kind),
-            msg.from,
-            msg.value
-        ));
-        match (&mut self.states[to as usize], &msg.kind) {
-            (RankOp::Bcast { have }, MsgKind::Data) => {
-                if !*have {
-                    *have = true;
-                    let root = match *op {
-                        SimOp::Broadcast { root, .. } => root,
-                        _ => 0,
-                    };
-                    let v = (to + n - root) % n;
-                    for c in tree_children(v, n) {
-                        let child = (c + root) % n;
-                        self.send(
-                            child,
-                            Msg {
-                                from: to,
-                                ..msg.clone()
-                            },
-                            0,
-                        );
-                    }
-                    self.mark_complete(to);
-                }
-            }
-            (RankOp::Reduce { pending, acc }, MsgKind::Part) => {
-                *acc += msg.value;
-                *pending -= 1;
-                if *pending == 0 {
-                    let root = match *op {
-                        SimOp::Reduce { root, .. } => root,
-                        _ => 0,
-                    };
-                    let v = (to + n - root) % n;
-                    let acc = *acc;
-                    if v != 0 {
-                        let parent = (tree_parent(v) + root) % n;
-                        self.send(
-                            parent,
-                            Msg {
-                                gen,
-                                kind: MsgKind::Part,
-                                round: 0,
-                                value: acc,
-                                from: to,
-                            },
-                            0,
-                        );
-                    }
-                    self.mark_complete(to);
-                }
-            }
-            (
-                RankOp::Allreduce {
-                    phase,
-                    pending,
-                    acc,
-                },
-                kind,
-            ) => match (*phase, kind) {
-                (0, MsgKind::Part) => {
-                    *acc += msg.value;
-                    *pending -= 1;
-                    if *pending == 0 {
-                        let acc = *acc;
-                        if to == 0 {
-                            // Root: switch the world's attention to the
-                            // broadcast phase.
-                            self.states[0] = RankOp::Allreduce {
-                                phase: 1,
-                                pending: 0,
-                                acc,
-                            };
-                            for c in tree_children(0, n) {
-                                self.send(
-                                    c,
-                                    Msg {
-                                        gen,
-                                        kind: MsgKind::Data,
-                                        round: 0,
-                                        value: acc,
-                                        from: 0,
-                                    },
-                                    0,
-                                );
-                            }
-                            self.mark_complete(0);
-                        } else {
-                            *phase = 1;
-                            let parent = tree_parent(to);
-                            self.send(
-                                parent,
-                                Msg {
-                                    gen,
-                                    kind: MsgKind::Part,
-                                    round: 0,
-                                    value: acc,
-                                    from: to,
-                                },
-                                0,
-                            );
-                        }
-                    }
-                }
-                (_, MsgKind::Data) => {
-                    // The reduce phase of this subtree is over once the
-                    // result comes down; accept Data in either phase (a
-                    // leaf is still in phase 0).
-                    let acc = msg.value;
-                    self.states[to as usize] = RankOp::Allreduce {
-                        phase: 2,
-                        pending: 0,
-                        acc,
-                    };
-                    for c in tree_children(to, n) {
-                        self.send(
-                            c,
-                            Msg {
-                                gen,
-                                kind: MsgKind::Data,
-                                round: 0,
-                                value: acc,
-                                from: to,
-                            },
-                            0,
-                        );
-                    }
-                    self.mark_complete(to);
-                }
-                _ => {
-                    let now = self.now;
-                    self.trace.push(format!("{now} stray {to}"));
-                }
-            },
-            (RankOp::Barrier { round, got }, MsgKind::Token) => {
-                if (msg.round as usize) < got.len() {
-                    got[msg.round as usize] = true;
-                }
-                let rounds = Self::barrier_rounds(n);
-                let mut to_send = Vec::new();
-                while *round < rounds && got[*round as usize] {
-                    *round += 1;
-                    if *round < rounds {
-                        to_send.push(*round);
-                    }
-                }
-                let done = *round >= rounds;
-                for r in to_send {
-                    let peer = (to + (1 << r)) % n;
-                    self.send(
-                        peer,
-                        Msg {
-                            gen,
-                            kind: MsgKind::Token,
-                            round: r,
-                            value: 0,
-                            from: to,
-                        },
-                        0,
-                    );
-                }
-                if done {
-                    self.mark_complete(to);
-                }
-            }
-            _ => {
-                let now = self.now;
-                self.trace
-                    .push(format!("{now} stray {} for {to}", kind_name(&msg.kind)));
+        self.trace
+            .push(format!("{now} deliver {desc} {from}->{to}"));
+        let rank = &mut self.ranks[to as usize];
+        let Some(machine) = rank.machine.as_mut() else {
+            self.trace.push(format!("{now} stray {desc} for {to}"));
+            return;
+        };
+        let key = (from as usize, msg.seg.stream);
+        rank.stash.entry(key).or_default().push_back(msg.seg);
+        let (mut sends, mut done) = (Sends::default(), None);
+        while let Some(key) = machine.waiting_on() {
+            let Some(seg) = rank.stash.get_mut(&key).and_then(VecDeque::pop_front) else {
+                break;
+            };
+            done = machine.on_seg(key.0, seg, &mut sends);
+            if done.is_some() {
+                break;
             }
         }
+        self.step(to, done, sends);
     }
 
     fn run_op(&mut self, op: &SimOp) -> OpOutcome {
@@ -1250,37 +1026,36 @@ impl SimWorld {
             SimOp::Advance { by } => format!("advance({by:?})"),
         };
         self.trace.push(format!("{started} op {name} start"));
-        if let SimOp::Advance { by } = op {
-            // Pure time passage: chaos events in the window fire, stale
-            // messages drain.
-            let target = self.now + *by;
-            while self.queue.peek().is_some_and(|Reverse(ev)| ev.at <= target) {
-                let Reverse(ev) = self.queue.pop().expect("peeked");
-                self.now = ev.at;
-                self.events_processed += 1;
-                if let EvKind::Chaos { idx } = ev.kind {
-                    self.apply_chaos(idx);
-                }
-            }
-            self.now = target;
-            return OpOutcome {
-                op: name,
-                completed: true,
-                failed_ranks: Vec::new(),
-                elapsed: *by,
-                result: None,
-            };
-        }
         let timeout = match *op {
             SimOp::Broadcast { timeout, .. }
             | SimOp::Reduce { timeout, .. }
             | SimOp::Allreduce { timeout }
             | SimOp::Barrier { timeout } => timeout,
-            SimOp::Advance { .. } => unreachable!(),
+            SimOp::Advance { by } => {
+                // Pure time passage: chaos events in the window fire,
+                // stale messages drain.
+                let target = self.now + by;
+                while self.queue.peek().is_some_and(|Reverse(ev)| ev.at <= target) {
+                    let Reverse(ev) = self.queue.pop().expect("peeked");
+                    self.now = ev.at;
+                    self.events_processed += 1;
+                    if let EvKind::Chaos { idx } = ev.kind {
+                        self.apply_chaos(idx);
+                    }
+                }
+                self.now = target;
+                return OpOutcome {
+                    op: name,
+                    completed: true,
+                    failed_ranks: Vec::new(),
+                    elapsed: by,
+                    result: None,
+                };
+            }
         };
         self.start_op(op);
-        let gen = self.gen;
-        self.push_ev(self.now + timeout, EvKind::Deadline { gen });
+        let coll = self.coll;
+        self.push_ev(self.now + timeout, EvKind::Deadline { coll });
         let mut timed_out = false;
         while self.remaining > 0 {
             let Some(Reverse(ev)) = self.queue.pop() else {
@@ -1291,22 +1066,15 @@ impl SimWorld {
             self.events_processed += 1;
             match ev.kind {
                 EvKind::Chaos { idx } => self.apply_chaos(idx),
-                EvKind::Deadline { gen: g } => {
-                    if g == gen {
-                        timed_out = true;
-                        break;
-                    }
+                EvKind::Deadline { coll: c } if c == coll => {
+                    timed_out = true;
+                    break;
                 }
-                EvKind::Arrive { to, msg } => {
-                    if msg.gen == gen {
-                        self.deliver(to, msg, op);
-                    }
+                EvKind::Arrive { to, msg } if msg.seg.coll == coll => self.deliver(to, msg),
+                EvKind::Retry { to, msg, attempt } if msg.seg.coll == coll => {
+                    self.send(to, msg, attempt + 1);
                 }
-                EvKind::Retry { to, msg, attempt } => {
-                    if msg.gen == gen {
-                        self.send(to, msg, attempt + 1);
-                    }
-                }
+                _ => {}
             }
         }
         let failed_ranks: Vec<u32> = if timed_out {
@@ -1315,42 +1083,20 @@ impl SimWorld {
             Vec::new()
         };
         let completed = !timed_out && self.remaining == 0;
-        // Agreement check: every completing rank must hold the same value.
-        let result = if completed {
-            let mut value = None;
-            let mut agree = true;
-            for r in 0..n as usize {
-                let v = match &self.states[r] {
-                    RankOp::Reduce { acc, .. } if self.alive[r] => Some(*acc),
-                    RankOp::Allreduce { acc, .. } if self.alive[r] => Some(*acc),
-                    _ => None,
-                };
-                if let Some(v) = v {
-                    match op {
-                        SimOp::Allreduce { .. } => {
-                            if let Some(prev) = value {
-                                agree &= prev == v;
-                            }
-                            value = Some(v);
-                        }
-                        SimOp::Reduce { root, .. } if r as u32 == *root => {
-                            value = Some(v);
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            if let SimOp::Broadcast { root, .. } = op {
-                value = Some(100 + u64::from(*root));
-            }
-            if agree {
-                value
-            } else {
-                None
-            }
-        } else {
-            None
-        };
+        // Agreement check: every alive rank holding a value (all of them
+        // for broadcast and allreduce, the root for reduce) must hold the
+        // same one.
+        let result = completed
+            .then(|| {
+                let mut values = (0..n as usize)
+                    .filter(|&r| self.alive[r])
+                    .filter_map(|r| self.ranks[r].result.as_deref())
+                    .filter_map(|v| <[u8; 8]>::try_from(v).ok().map(u64::from_le_bytes));
+                let first = values.next();
+                values.all(|v| Some(v) == first).then_some(first)
+            })
+            .flatten()
+            .flatten();
         let elapsed = self.now - started;
         let now = self.now;
         self.trace.push(format!(
@@ -1365,14 +1111,6 @@ impl SimWorld {
             elapsed,
             result,
         }
-    }
-}
-
-fn kind_name(k: &MsgKind) -> &'static str {
-    match k {
-        MsgKind::Data => "data",
-        MsgKind::Part => "part",
-        MsgKind::Token => "token",
     }
 }
 
@@ -1645,17 +1383,27 @@ mod tests {
 
     #[test]
     fn binomial_tree_shape() {
-        assert_eq!(tree_children(0, 8), vec![1, 2, 4]);
-        assert_eq!(tree_children(1, 8), vec![3, 5]);
-        assert_eq!(tree_children(2, 8), vec![6]);
-        assert_eq!(tree_children(4, 8), Vec::<u32>::new());
-        assert_eq!(tree_parent(5), 1);
-        assert_eq!(tree_parent(6), 2);
-        assert_eq!(tree_parent(1), 0);
-        // Every non-zero vrank's parent is a strictly smaller vrank.
-        for v in 1..1000u32 {
-            assert!(tree_parent(v) < v);
-        }
+        // SimWorld runs the production recursive-halving tree: the root
+        // sends to the widest subtree first, and every subtree is a
+        // contiguous rank range.
+        let mut s = Scenario::new("t", 8, 1);
+        s.ops = vec![SimOp::Broadcast {
+            root: 0,
+            timeout: Duration::from_secs(5),
+        }];
+        let report = SimWorld::new(s).run();
+        let edges: Vec<&str> = report
+            .trace
+            .lines()
+            .filter(|l| l.contains(" send "))
+            .filter_map(|l| l.split_whitespace().nth(5))
+            .collect();
+        assert_eq!(
+            edges,
+            ["0->4", "0->2", "0->1", "4->6", "4->5", "2->3", "6->7"],
+            "{}",
+            report.trace
+        );
     }
 
     #[test]

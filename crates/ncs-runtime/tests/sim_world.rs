@@ -2,9 +2,11 @@
 //! the chaos-scenario matrix, the thousand-rank wall-time bound, and the
 //! real-stack `SimSession` backend.
 
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use ncs_collectives::ReduceOp;
+use ncs_obs::EventKind;
 use ncs_runtime::sim::{ChaosEvent, ChaosKind, Scenario, SimOp, SimWorldBuilder};
 use ncs_runtime::{Session, SimWorld};
 use ncs_transport::sim::LinkPolicy;
@@ -205,6 +207,106 @@ fn sim_session_connect_accept_and_send() {
     let got = t.join().expect("peer thread");
     assert_eq!(got, b"over the sim fabric");
     a.shutdown();
+}
+
+/// One schedule, two drivers: for one seed, SimWorld and the real
+/// collectives engine over `SimSession` put the same frames on every
+/// directed link, in the same order. SimWorld's side is read off its
+/// trace (first transmissions; retransmissions belong to the link
+/// model), the engine's off each connection's flight recorder, op by op.
+#[test]
+fn sim_world_and_the_engine_emit_identical_frame_sequences() {
+    type Frames = BTreeMap<(u32, u32), Vec<(u32, usize)>>;
+    let timeout = Duration::from_secs(30);
+    let ops = [
+        SimOp::Broadcast { root: 3, timeout },
+        SimOp::Reduce { root: 2, timeout },
+        SimOp::Allreduce { timeout },
+        SimOp::Barrier { timeout },
+    ];
+    for n in [5u32, 8] {
+        let mut scenario = Scenario::new("cross-check", n, 42);
+        scenario.ops = ops.to_vec();
+        let report = SimWorld::new(scenario).run();
+        assert!(report.all_completed(), "{:?}", report.ops);
+        let mut sim = Frames::new();
+        for line in report.trace.lines() {
+            // `<now> send c<coll>/s<stream> <seg>/<total> <len>B <from>-><to> attempt <k> due <t>`
+            let w: Vec<&str> = line.split_whitespace().collect();
+            if w.get(1) != Some(&"send") || w[7] != "0" {
+                continue;
+            }
+            let coll = w[2][1..].split('/').next().unwrap().parse().unwrap();
+            let len = w[4].trim_end_matches('B').parse().unwrap();
+            let (from, to) = w[5].split_once("->").unwrap();
+            let pair = (from.parse().unwrap(), to.parse().unwrap());
+            sim.entry(pair).or_default().push((coll, len));
+        }
+
+        let sessions = SimWorldBuilder::new(n, 42)
+            .policy(LinkPolicy::lan())
+            .build()
+            .expect("build sim world");
+        let groups: Vec<_> = sessions
+            .iter()
+            .map(|s| s.collective_group(5).expect("group"))
+            .collect();
+        let isends = |from: u32, to: u32| -> Vec<usize> {
+            let conn = sessions[from as usize].connection(to).expect("link");
+            let events = conn.flight().dump();
+            events
+                .iter()
+                .filter(|e| e.kind == EventKind::Isend)
+                .map(|e| e.len as usize)
+                .collect()
+        };
+        let pairs: Vec<(u32, u32)> = (0..n)
+            .flat_map(|a| (0..n).filter(move |&b| b != a).map(move |b| (a, b)))
+            .collect();
+        let mut seen: BTreeMap<(u32, u32), usize> = pairs
+            .iter()
+            .map(|&(a, b)| ((a, b), isends(a, b).len()))
+            .collect();
+        let mut engine = Frames::new();
+        for (coll, op) in ops.iter().enumerate() {
+            std::thread::scope(|scope| {
+                for (rank, g) in groups.iter().enumerate() {
+                    scope.spawn(move || {
+                        let me = rank as u64;
+                        match *op {
+                            SimOp::Broadcast { root, .. } => {
+                                let value = 100 + u64::from(root);
+                                let buf = vec![if me == u64::from(root) { value } else { 0 }];
+                                assert_eq!(g.broadcast(root as usize, buf).unwrap(), [value]);
+                            }
+                            SimOp::Reduce { root, .. } => {
+                                g.reduce(root as usize, vec![me], ReduceOp::Sum).unwrap();
+                            }
+                            SimOp::Allreduce { .. } => {
+                                let sum = g.allreduce(vec![me], ReduceOp::Sum).unwrap();
+                                assert_eq!(sum, [u64::from(n * (n - 1) / 2)]);
+                            }
+                            _ => g.barrier().unwrap(),
+                        }
+                    });
+                }
+            });
+            for &pair in &pairs {
+                let sent = isends(pair.0, pair.1);
+                let new = &sent[seen[&pair]..];
+                if !new.is_empty() {
+                    let seq = engine.entry(pair).or_default();
+                    seq.extend(new.iter().map(|&len| (coll as u32, len)));
+                }
+                seen.insert(pair, sent.len());
+            }
+        }
+        assert_eq!(sim, engine, "n = {n}: per-link frame sequences differ");
+        drop(groups);
+        for s in sessions {
+            s.shutdown();
+        }
+    }
 }
 
 /// Reads a counter family's (single, unlabelled) value out of the

@@ -201,10 +201,7 @@ pub struct SimNet {
 /// SplitMix64 — derives per-direction RNG seeds from `(net seed, link,
 /// dir)` so adding a link never perturbs the draws of existing links.
 fn mix_seed(seed: u64, link: LinkId, dir: u64) -> u64 {
-    let mut z = seed ^ link.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (dir << 1 | 1);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    atm_sim::splitmix64(seed ^ link.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (dir << 1 | 1))
 }
 
 impl SimNet {

@@ -1,7 +1,8 @@
 //! Computation/communication overlap — the paper's central motivation for
 //! the thread-based programming paradigm (§2), plus group communication:
-//! a 4-member group multicasts partial results along a spanning tree and
-//! synchronises with a tree barrier while every member keeps computing.
+//! every round, a 4-member group starts a nonblocking allreduce and a
+//! nonblocking allgather of its partial results, keeps computing while
+//! the runtime moves them, and only then waits for both.
 //!
 //! Run with: `cargo run --example compute_overlap`
 
@@ -9,8 +10,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use ncs::collectives::{CollectiveGroup, ReduceOp};
 use ncs::core::link::HpiLinkPair;
-use ncs::core::{ConnectionConfig, MulticastAlgo, NcsGroup, NcsNode};
+use ncs::core::{ConnectionConfig, NcsNode};
 
 const MEMBERS: usize = 4;
 const ROUNDS: usize = 5;
@@ -38,20 +40,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             conns[j].insert(i, cji);
         }
     }
-    let groups: Vec<Arc<NcsGroup>> = nodes
+    let groups: Vec<Arc<CollectiveGroup>> = nodes
         .iter()
         .zip(conns)
         .enumerate()
         .map(|(rank, (node, links))| {
-            Arc::new(
-                NcsGroup::new(node, 7, rank, links, MulticastAlgo::SpanningTree).expect("group"),
-            )
+            Arc::new(CollectiveGroup::new(node, 7, rank, links).expect("group"))
         })
         .collect();
 
-    // Each member: per round, multicast its partial result (communication
-    // handled by NCS threads) while immediately continuing to compute the
-    // next partial — overlap in action — then barrier.
+    // Each member, per round: start reducing and gathering its partial
+    // result (the runtime's threads take it from there), immediately
+    // compute MORE while the collectives are in flight — overlap in
+    // action — then wait for both.
     let mut handles = Vec::new();
     for (rank, group) in groups.iter().enumerate() {
         let group = Arc::clone(group);
@@ -70,11 +71,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                         ));
                 }
                 compute_time += t.elapsed();
-                // Multicast it (the runtime's threads take it from here)...
-                group.multicast(&partial.to_be_bytes()).expect("multicast");
-                total = total.wrapping_add(partial);
-                // ...and immediately compute MORE while peers' results are
-                // still in flight (the overlap the paper is about).
+                // Hand it to the runtime...
+                let sum = group
+                    .iallreduce(vec![partial], ReduceOp::Sum)
+                    .expect("iallreduce");
+                let parts = group.iallgather(vec![partial]).expect("iallgather");
+                // ...and immediately compute MORE while the peers'
+                // results are still in flight (the overlap the paper is
+                // about).
                 let t = Instant::now();
                 let mut extra: u64 = 0;
                 for x in 0..std::hint::black_box(400_000u64) {
@@ -82,16 +86,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 }
                 std::hint::black_box(extra);
                 compute_time += t.elapsed();
-                // Collect the other members' partials for this round.
-                for _ in 0..MEMBERS - 1 {
-                    let (_, bytes) = group
-                        .recv_timeout(Duration::from_secs(10))
-                        .expect("partial");
-                    total = total
-                        .wrapping_add(u64::from_be_bytes(bytes[..8].try_into().expect("8 bytes")));
-                }
-                // Round barrier.
-                group.barrier(Duration::from_secs(10)).expect("barrier");
+                // Collect this round's results.
+                let sum = sum.wait().expect("allreduce")[0];
+                let parts = parts.wait().expect("allgather");
+                assert_eq!(parts.len(), MEMBERS);
+                assert_eq!(parts[rank], partial, "own partial in rank order");
+                let folded = parts.iter().fold(0u64, |a, &p| a.wrapping_add(p));
+                assert_eq!(sum, folded, "allreduce must match the gathered partials");
+                total = total.wrapping_add(sum);
             }
             (rank, total, compute_time, start.elapsed())
         }));
@@ -113,11 +115,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         totals.windows(2).all(|w| w[0] == w[1]),
         "all members must agree on the reduced total"
     );
-    println!("\nall {MEMBERS} members agree after {ROUNDS} multicast+barrier rounds");
+    println!("\nall {MEMBERS} members agree after {ROUNDS} iallreduce+iallgather rounds");
 
-    for g in &groups {
-        g.leave();
-    }
     drop(groups);
     for n in &nodes {
         n.shutdown();
