@@ -10,14 +10,15 @@
 //! Exit code 0 when the fresh artifact is acceptable; 1 with one line per
 //! problem otherwise.
 
-use ncs_bench::check::{parse_json, validate};
+use ncs_bench::check::validate;
+use ncs_obs::json::Json;
 
 fn usage() -> ! {
     eprintln!("usage: bench_check --new PATH --snapshot PATH");
     std::process::exit(2);
 }
 
-fn load(label: &str, path: &str) -> ncs_bench::check::Json {
+fn load(label: &str, path: &str) -> Json {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
@@ -25,7 +26,7 @@ fn load(label: &str, path: &str) -> ncs_bench::check::Json {
             std::process::exit(1);
         }
     };
-    match parse_json(&text) {
+    match Json::parse(&text) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("bench_check: {label} artifact '{path}' is not valid JSON: {e}");

@@ -62,7 +62,6 @@
 //! [`Channel`]: ncs_core::Channel
 
 use std::collections::HashMap;
-use std::io::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -71,6 +70,8 @@ use ncs_bench::msgrate;
 use ncs_collectives::{CollectiveGroup, ReduceOp, Topology};
 use ncs_core::link::{AciLink, HpiLinkPair, PipeLinkPair, SciLink};
 use ncs_core::{ConnectionConfig, NcsConnection, NcsNode, PoolStats};
+use ncs_obs::json::Json;
+use ncs_obs::obj;
 use ncs_runtime::{ClusterConfig, ClusterNode, MembershipConfig, RendezvousServer};
 use ncs_threads::sync::Event;
 use ncs_threads::{
@@ -152,10 +153,28 @@ enum Package {
 }
 
 impl Package {
+    const ALL: [Package; 2] = [Package::Kernel, Package::User];
+
     fn name(self) -> &'static str {
         match self {
             Package::Kernel => "kernel",
             Package::User => "user",
+        }
+    }
+
+    /// Runs `case` on this package: directly on a fresh kernel-level
+    /// package, or inside a user-level runtime.
+    fn run<R: Send + 'static>(
+        self,
+        case: impl FnOnce(Arc<dyn ThreadPackage>) -> R + Send + 'static,
+    ) -> R {
+        match self {
+            Package::Kernel => case(Arc::new(KernelPackage::new())),
+            Package::User => UserRuntime::new(UserConfig {
+                mech: SwitchMech::Native,
+                ..UserConfig::default()
+            })
+            .run(move |pkg| case(Arc::new(pkg))),
         }
     }
 }
@@ -181,6 +200,29 @@ struct CaseResult {
     allocs_per_msg_seed_equiv: f64,
     allocs_per_msg_pooled: f64,
     alloc_improvement: f64,
+}
+
+impl CaseResult {
+    fn to_json(&self) -> Json {
+        let p = &self.pool;
+        obj! {
+            "interface": self.iface, "package": self.package,
+            "latency": obj! {
+                "iters": self.lat_iters, "median_us": self.lat_median_us, "p99_us": self.lat_p99_us,
+            },
+            "bulk": obj! {
+                "messages": self.bulk_msgs, "received": self.bulk_received,
+                "seconds": self.bulk_secs, "throughput_mib_s": self.bulk_mib_s,
+                "pool": obj! {
+                    "checkouts": p.checkouts, "hits": p.hits, "misses": p.misses,
+                    "returns": p.returns, "discards": p.discards,
+                },
+                "allocs_per_msg_seed_equiv": self.allocs_per_msg_seed_equiv,
+                "allocs_per_msg_pooled": self.allocs_per_msg_pooled,
+                "alloc_improvement": self.alloc_improvement,
+            },
+        }
+    }
 }
 
 /// Two connected NCS nodes over one interface, plus whatever must stay
@@ -303,6 +345,16 @@ struct MsgRateCaseResult {
     aggregate_mmsgs_s: f64,
 }
 
+impl MsgRateCaseResult {
+    fn to_json(&self) -> Json {
+        obj! {
+            "interface": self.iface, "package": self.package, "threads": self.threads,
+            "msgs_per_thread": self.msgs_per_thread, "aggregate_mmsgs_s": self.aggregate_mmsgs_s,
+            "per_thread_mmsgs_s": self.per_thread_mmsgs_s.clone(),
+        }
+    }
+}
+
 /// Runs one mt_msgrate point: `threads` sender/receiver thread pairs on
 /// `pkg`, each pair on its own per-thread channel over one connection.
 fn run_msgrate_case(
@@ -354,6 +406,17 @@ struct TelemetryCaseResult {
     enabled_mmsgs_s: f64,
     disabled_mmsgs_s: f64,
     overhead_pct: f64,
+}
+
+impl TelemetryCaseResult {
+    fn to_json(&self) -> Json {
+        obj! {
+            "package": self.package, "threads": self.threads,
+            "msgs_per_thread": self.msgs_per_thread,
+            "enabled_mmsgs_s": self.enabled_mmsgs_s, "disabled_mmsgs_s": self.disabled_mmsgs_s,
+            "overhead_pct": self.overhead_pct,
+        }
+    }
 }
 
 /// Measures the flight recorder's message-rate cost: the same msgrate
@@ -577,6 +640,26 @@ struct CollCaseResult {
     egress_ratio: f64,
 }
 
+impl CollCaseResult {
+    fn to_json(&self) -> Json {
+        obj! {
+            "package": self.package, "group_size": self.group_size,
+            "allreduce": obj! {
+                "iters": self.allreduce_iters, "median_us": self.allreduce_median_us,
+            },
+            "broadcast": obj! {
+                "rounds": self.bcast_rounds,
+                "root_binomial_us": self.bcast_root_binomial_us,
+                "root_flat_us": self.bcast_root_flat_us,
+                "done_binomial_us": self.bcast_done_binomial_us,
+                "done_flat_us": self.bcast_done_flat_us,
+                "root_frames_binomial": self.root_frames_binomial,
+                "root_frames_flat": self.root_frames_flat, "egress_ratio": self.egress_ratio,
+            },
+        }
+    }
+}
+
 /// Builds an `n`-member collective group over an HPI full mesh, every node
 /// on `pkg`.
 fn build_coll_members(
@@ -777,6 +860,25 @@ struct RequestsCaseResult {
     allocs_per_msg_msgview: f64,
     /// recv misses / max(msgview misses, 1).
     alloc_ratio: f64,
+}
+
+impl RequestsCaseResult {
+    fn to_json(&self) -> Json {
+        obj! {
+            "package": self.package,
+            "rtt": obj! {
+                "iters": self.lat_iters,
+                "blocking_median_us": self.blocking_rtt_median_us,
+                "blocking_p99_us": self.blocking_rtt_p99_us,
+                "request_median_us": self.request_rtt_median_us,
+                "request_p99_us": self.request_rtt_p99_us,
+            },
+            "allocs": obj! {
+                "messages": self.bulk_msgs, "per_msg_recv": self.allocs_per_msg_recv,
+                "per_msg_msgview": self.allocs_per_msg_msgview, "ratio": self.alloc_ratio,
+            },
+        }
+    }
 }
 
 /// Echo peer for the RTT phases: bounces `count` messages back.
@@ -984,6 +1086,19 @@ struct SimCaseResult {
     deterministic: bool,
 }
 
+impl SimCaseResult {
+    fn to_json(&self) -> Json {
+        obj! {
+            "engine": "SimWorld",
+            "cases": vec![obj! {
+                "scenario": self.scenario, "ranks": self.ranks, "seed": self.seed,
+                "events_processed": self.events_processed, "virtual_ms": self.virtual_ms,
+                "wall_secs": self.wall_secs, "events_per_sec": self.events_per_sec,
+            }],
+        }
+    }
+}
+
 fn run_sim_case() -> SimCaseResult {
     use ncs_runtime::sim::{Scenario, SimOp};
     let mut scenario = Scenario::new("perf-broadcast", SIM_RANKS, SIM_SEED);
@@ -1038,6 +1153,20 @@ struct ClusterCaseResult {
     allreduce_median_us: f64,
     /// Child ranks that exited 0 (the parent is rank 0 and not counted).
     children_ok: usize,
+}
+
+impl ClusterCaseResult {
+    fn to_json(&self) -> Json {
+        obj! {
+            "np": self.np, "children_ok": self.children_ok,
+            "rtt": obj! {
+                "iters": self.rtt_iters, "median_us": self.rtt_median_us, "p99_us": self.rtt_p99_us,
+            },
+            "allreduce": obj! {
+                "iters": self.allreduce_iters, "median_us": self.allreduce_median_us,
+            },
+        }
+    }
 }
 
 fn cluster_iters(smoke: bool) -> (usize, usize) {
@@ -1225,8 +1354,29 @@ struct C10kResult {
     os_threads_baseline: usize,
     os_threads_loaded: usize,
     reactor: ncs_core::ReactorStats,
-    thread_gate_pass: bool,
-    latency_gate_pass: bool,
+}
+
+impl C10kResult {
+    fn to_json(&self) -> Json {
+        let (iters, r) = (self.rtt_iters, &self.reactor);
+        obj! {
+            "interface": "HPI", "connections": C10K_CONNECTIONS, "latency_bytes": LAT_BYTES,
+            "baseline": obj! {
+                "connections": C10K_BASELINE, "iters": iters, "median_us": self.baseline_median_us,
+                "p99_us": self.baseline_p99_us, "os_threads": self.os_threads_baseline,
+            },
+            "loaded": obj! {
+                "connections": C10K_CONNECTIONS, "iters": iters, "median_us": self.loaded_median_us,
+                "p99_us": self.loaded_p99_us, "os_threads": self.os_threads_loaded,
+            },
+            "reactor": obj! {
+                "workers": r.workers, "endpoints": r.endpoints, "polls": r.polls,
+                "wakeups": r.wakeups, "task_runs": r.task_runs, "timer_fires": r.timer_fires,
+                "fd_events": r.fd_events, "stalled_tasks": r.stalled_tasks,
+                "blocking_spawned": r.blocking_spawned, "blocking_active": r.blocking_active,
+            },
+        }
+    }
 }
 
 /// OS threads in this process, from procfs. 0 when the platform has no
@@ -1343,8 +1493,6 @@ fn run_c10k_case(smoke: bool) -> C10kResult {
         p99_ratio,
         os_threads_baseline,
         os_threads_loaded,
-        thread_gate_pass: os_threads_loaded <= C10K_MAX_THREADS,
-        latency_gate_pass: p99_ratio <= C10K_MAX_P99_RATIO,
         reactor: reactor_stats,
     }
 }
@@ -1401,6 +1549,25 @@ struct MembershipCaseResult {
     prop_ms: Vec<f64>,
     /// Every survivor saw strictly increasing view epochs.
     views_in_order: bool,
+}
+
+impl MembershipCaseResult {
+    fn to_json(&self) -> Json {
+        let cfg = membership_cfg();
+        let latency = |sorted_ms: &[f64]| {
+            let max_ms = sorted_ms.last().copied().unwrap_or(0.0);
+            obj! { "median_ms": percentile(sorted_ms, 0.5), "max_ms": max_ms }
+        };
+        obj! {
+            "np": self.np, "heartbeat_ms": self.heartbeat_ms,
+            "suspect_ms": cfg.suspect_after.as_secs_f64() * 1e3,
+            "dead_ms": cfg.dead_after.as_secs_f64() * 1e3,
+            "cases": vec![obj! {
+                "np": self.np, "cycles": self.cycles,
+                "detection": latency(&self.detect_ms), "propagation": latency(&self.prop_ms),
+            }],
+        }
+    }
 }
 
 /// One timestamped view observation at a survivor's sink.
@@ -1588,485 +1755,83 @@ fn case_cfg(iface: Iface, package: Package, smoke: bool) -> BenchCfg {
     }
 }
 
-fn json_escape_free(s: &str) -> &str {
-    // Every string we emit is a static identifier; guard the invariant.
-    debug_assert!(s
-        .chars()
-        .all(|c| c.is_ascii_alphanumeric() || "-_./".contains(c)));
-    s
+/// One pass/fail check of the run. The gate table in `main` is the one
+/// source of the artifact's gate objects, the exit code and the summary
+/// line.
+struct Gate {
+    /// `"<section>.<key>"` of the gate object, or a bare top-level key.
+    path: &'static str,
+    /// The gate object: `metric`, then `threshold` and `value` for a
+    /// numeric gate, then `pass`.
+    json: Json,
+    pass: bool,
+    /// `path value (op threshold)`, or `path pass|fail`.
+    summary: String,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn emit_json(
-    out: &mut String,
-    results: &[CaseResult],
-    coll_results: &[CollCaseResult],
-    req_results: &[RequestsCaseResult],
-    msgrate_results: &[MsgRateCaseResult],
-    telemetry_results: &[TelemetryCaseResult],
-    cluster_results: &[ClusterCaseResult],
-    sim: &SimCaseResult,
-    c10k: &C10kResult,
-    smoke: bool,
-    gate_value: f64,
-    gate_pass: bool,
-    coll_gate_value: f64,
-    coll_gate_pass: bool,
-    req_gate_value: f64,
-    req_gate_pass: bool,
-    msgrate_cpus: usize,
-    msgrate_threshold: f64,
-    msgrate_gate_value: f64,
-    msgrate_gate_pass: bool,
-    telemetry_gate_value: f64,
-    telemetry_gate_pass: bool,
-    cluster_gate_pass: bool,
-    membership: &MembershipCaseResult,
-    membership_detect_value: f64,
-    membership_detect_pass: bool,
-    membership_prop_value: f64,
-    membership_prop_pass: bool,
-) {
-    use std::fmt::Write as _;
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"schema\": \"ncs-dataplane-bench/9\",");
-    let _ = writeln!(
-        out,
-        "  \"mode\": \"{}\",",
-        if smoke { "smoke" } else { "full" }
-    );
-    let _ = writeln!(out, "  \"latency_bytes\": {LAT_BYTES},");
-    let _ = writeln!(out, "  \"bulk_message_bytes\": {BULK_BYTES},");
-    let _ = writeln!(
-        out,
-        "  \"alloc_metric\": \"pool checkouts = seed-path allocations at the same call sites; \
-         pool misses = pooled-path allocations; improvement = checkouts / max(misses, 1)\","
-    );
-    let _ = writeln!(out, "  \"gate\": {{");
-    let _ = writeln!(
-        out,
-        "    \"metric\": \"min HPI bulk alloc_improvement across packages\","
-    );
-    let _ = writeln!(out, "    \"threshold\": {GATE_MIN_IMPROVEMENT:.1},");
-    let _ = writeln!(out, "    \"value\": {gate_value:.2},");
-    let _ = writeln!(out, "    \"pass\": {gate_pass}");
-    let _ = writeln!(out, "  }},");
-    let _ = writeln!(out, "  \"collectives\": {{");
-    let _ = writeln!(out, "    \"interface\": \"HPI\",");
-    let _ = writeln!(out, "    \"allreduce_elems\": {COLL_ALLREDUCE_ELEMS},");
-    let _ = writeln!(out, "    \"broadcast_bytes\": {COLL_BCAST_BYTES},");
-    let _ = writeln!(out, "    \"gate\": {{");
-    let _ = writeln!(
-        out,
-        "      \"metric\": \"min origin egress improvement (flat frames / binomial frames) for groups >= {COLL_GATE_MIN_GROUP}\","
-    );
-    let _ = writeln!(out, "      \"threshold\": {COLL_GATE_MIN_EGRESS_RATIO:.1},");
-    let _ = writeln!(out, "      \"value\": {coll_gate_value:.2},");
-    let _ = writeln!(out, "      \"pass\": {coll_gate_pass}");
-    let _ = writeln!(out, "    }},");
-    let _ = writeln!(out, "    \"cases\": [");
-    for (i, r) in coll_results.iter().enumerate() {
-        let comma = if i + 1 < coll_results.len() { "," } else { "" };
-        let _ = writeln!(out, "      {{");
-        let _ = writeln!(
-            out,
-            "        \"package\": \"{}\", \"group_size\": {},",
-            json_escape_free(r.package),
-            r.group_size
-        );
-        let _ = writeln!(
-            out,
-            "        \"allreduce\": {{ \"iters\": {}, \"median_us\": {:.2} }},",
-            r.allreduce_iters, r.allreduce_median_us
-        );
-        let _ = writeln!(
-            out,
-            "        \"broadcast\": {{ \"rounds\": {}, \"root_binomial_us\": {:.2}, \"root_flat_us\": {:.2}, \
-             \"done_binomial_us\": {:.2}, \"done_flat_us\": {:.2},",
-            r.bcast_rounds,
-            r.bcast_root_binomial_us,
-            r.bcast_root_flat_us,
-            r.bcast_done_binomial_us,
-            r.bcast_done_flat_us,
-        );
-        let _ = writeln!(
-            out,
-            "          \"root_frames_binomial\": {}, \"root_frames_flat\": {}, \"egress_ratio\": {:.2} }}",
-            r.root_frames_binomial, r.root_frames_flat, r.egress_ratio
-        );
-        let _ = writeln!(out, "      }}{comma}");
+impl Gate {
+    fn check(path: &'static str, metric: &str, pass: bool) -> Gate {
+        let summary = format!("{path} {}", if pass { "pass" } else { "fail" });
+        let json = obj! { "metric": metric, "pass": pass };
+        Gate {
+            path,
+            json,
+            pass,
+            summary,
+        }
     }
-    let _ = writeln!(out, "    ]");
-    let _ = writeln!(out, "  }},");
-    let _ = writeln!(out, "  \"requests\": {{");
-    let _ = writeln!(out, "    \"interface\": \"HPI\",");
-    let _ = writeln!(out, "    \"latency_bytes\": {REQ_LAT_BYTES},");
-    let _ = writeln!(out, "    \"bulk_message_bytes\": {REQ_BULK_BYTES},");
-    let _ = writeln!(out, "    \"gate\": {{");
-    let _ = writeln!(
-        out,
-        "      \"metric\": \"min (recv allocs/msg / MsgView allocs/msg) across packages — the zero-copy receive path must allocate >= {REQ_GATE_MIN_RATIO:.0}x fewer buffers per message\","
-    );
-    let _ = writeln!(out, "      \"threshold\": {REQ_GATE_MIN_RATIO:.1},");
-    let _ = writeln!(out, "      \"value\": {req_gate_value:.2},");
-    let _ = writeln!(out, "      \"pass\": {req_gate_pass}");
-    let _ = writeln!(out, "    }},");
-    let _ = writeln!(out, "    \"cases\": [");
-    for (i, r) in req_results.iter().enumerate() {
-        let comma = if i + 1 < req_results.len() { "," } else { "" };
-        let _ = writeln!(out, "      {{");
-        let _ = writeln!(
-            out,
-            "        \"package\": \"{}\",",
-            json_escape_free(r.package)
-        );
-        let _ = writeln!(
-            out,
-            "        \"rtt\": {{ \"iters\": {}, \"blocking_median_us\": {:.2}, \"blocking_p99_us\": {:.2}, \
-             \"request_median_us\": {:.2}, \"request_p99_us\": {:.2} }},",
-            r.lat_iters,
-            r.blocking_rtt_median_us,
-            r.blocking_rtt_p99_us,
-            r.request_rtt_median_us,
-            r.request_rtt_p99_us,
-        );
-        let _ = writeln!(
-            out,
-            "        \"allocs\": {{ \"messages\": {}, \"per_msg_recv\": {:.3}, \"per_msg_msgview\": {:.3}, \"ratio\": {:.2} }}",
-            r.bulk_msgs, r.allocs_per_msg_recv, r.allocs_per_msg_msgview, r.alloc_ratio,
-        );
-        let _ = writeln!(out, "      }}{comma}");
+
+    fn at_least(path: &'static str, metric: &str, threshold: f64, value: f64) -> Gate {
+        Gate::bounded(path, metric, (value, ">=", threshold), value >= threshold)
     }
-    let _ = writeln!(out, "    ]");
-    let _ = writeln!(out, "  }},");
-    let _ = writeln!(out, "  \"mt_msgrate\": {{");
-    let _ = writeln!(out, "    \"message_bytes\": {},", msgrate::MESSAGE_SIZE);
-    let _ = writeln!(out, "    \"window\": {},", msgrate::WINDOW_SIZE);
-    let _ = writeln!(out, "    \"gate\": {{");
-    let _ = writeln!(
-        out,
-        "      \"metric\": \"HPI kernel-package aggregate Mmsgs/s at 4 threads over 1 thread; \
-         threshold is parallelism-aware (2.0 at >= 4 CPUs, 1.2 at 2-3, 0.5 no-collapse at 1 — \
-         see docs/BENCH_SCHEMA.md)\","
-    );
-    let _ = writeln!(out, "      \"cpus\": {msgrate_cpus},");
-    let _ = writeln!(out, "      \"threshold\": {msgrate_threshold:.1},");
-    let _ = writeln!(out, "      \"value\": {msgrate_gate_value:.2},");
-    let _ = writeln!(out, "      \"pass\": {msgrate_gate_pass}");
-    let _ = writeln!(out, "    }},");
-    let _ = writeln!(out, "    \"cases\": [");
-    for (i, r) in msgrate_results.iter().enumerate() {
-        let comma = if i + 1 < msgrate_results.len() {
-            ","
-        } else {
-            ""
-        };
-        let per_thread = r
-            .per_thread_mmsgs_s
-            .iter()
-            .map(|v| format!("{v:.3}"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let _ = writeln!(out, "      {{");
-        let _ = writeln!(
-            out,
-            "        \"interface\": \"{}\", \"package\": \"{}\", \"threads\": {},",
-            json_escape_free(r.iface),
-            json_escape_free(r.package),
-            r.threads
-        );
-        let _ = writeln!(
-            out,
-            "        \"msgs_per_thread\": {}, \"aggregate_mmsgs_s\": {:.3}, \
-             \"per_thread_mmsgs_s\": [{per_thread}]",
-            r.msgs_per_thread, r.aggregate_mmsgs_s
-        );
-        let _ = writeln!(out, "      }}{comma}");
+
+    fn at_most(path: &'static str, metric: &str, threshold: f64, value: f64) -> Gate {
+        Gate::bounded(path, metric, (value, "<=", threshold), value <= threshold)
     }
-    let _ = writeln!(out, "    ]");
-    let _ = writeln!(out, "  }},");
-    let _ = writeln!(out, "  \"telemetry\": {{");
-    let _ = writeln!(out, "    \"interface\": \"HPI\",");
-    let _ = writeln!(out, "    \"message_bytes\": {},", msgrate::MESSAGE_SIZE);
-    let _ = writeln!(out, "    \"gate\": {{");
-    let _ = writeln!(
-        out,
-        "      \"metric\": \"max HPI msgrate overhead of the flight recorder across packages \
-         (recording enabled vs kill-switch disabled), percent\","
-    );
-    let _ = writeln!(
-        out,
-        "      \"threshold\": {TELEMETRY_GATE_MAX_OVERHEAD_PCT:.1},"
-    );
-    let _ = writeln!(out, "      \"value\": {telemetry_gate_value:.2},");
-    let _ = writeln!(out, "      \"pass\": {telemetry_gate_pass}");
-    let _ = writeln!(out, "    }},");
-    let _ = writeln!(out, "    \"cases\": [");
-    for (i, r) in telemetry_results.iter().enumerate() {
-        let comma = if i + 1 < telemetry_results.len() {
-            ","
-        } else {
-            ""
-        };
-        let _ = writeln!(out, "      {{");
-        let _ = writeln!(
-            out,
-            "        \"package\": \"{}\", \"threads\": {}, \"msgs_per_thread\": {},",
-            json_escape_free(r.package),
-            r.threads,
-            r.msgs_per_thread
-        );
-        let _ = writeln!(
-            out,
-            "        \"enabled_mmsgs_s\": {:.3}, \"disabled_mmsgs_s\": {:.3}, \"overhead_pct\": {:.2}",
-            r.enabled_mmsgs_s, r.disabled_mmsgs_s, r.overhead_pct
-        );
-        let _ = writeln!(out, "      }}{comma}");
+
+    fn bounded(path: &'static str, metric: &str, bound: (f64, &str, f64), pass: bool) -> Gate {
+        let (value, op, threshold) = bound;
+        let summary = format!("{path} {value:.2} ({op} {threshold})");
+        let json = obj! { "metric": metric, "threshold": threshold, "value": value, "pass": pass };
+        Gate {
+            path,
+            json,
+            pass,
+            summary,
+        }
     }
-    let _ = writeln!(out, "    ]");
-    let _ = writeln!(out, "  }},");
-    let _ = writeln!(out, "  \"cluster\": {{");
-    let _ = writeln!(out, "    \"transport\": \"SCI\",");
-    let _ = writeln!(out, "    \"rtt_bytes\": {CLUSTER_RTT_BYTES},");
-    let _ = writeln!(out, "    \"allreduce_elems\": {CLUSTER_ALLREDUCE_ELEMS},");
-    let _ = writeln!(out, "    \"gate\": {{");
-    let _ = writeln!(
-        out,
-        "      \"metric\": \"every child rank of every cross-process case exits 0 and rank 0 measures non-zero latencies\","
-    );
-    let _ = writeln!(out, "      \"pass\": {cluster_gate_pass}");
-    let _ = writeln!(out, "    }},");
-    let _ = writeln!(out, "    \"cases\": [");
-    for (i, r) in cluster_results.iter().enumerate() {
-        let comma = if i + 1 < cluster_results.len() {
-            ","
-        } else {
-            ""
-        };
-        let _ = writeln!(out, "      {{");
-        let _ = writeln!(
-            out,
-            "        \"np\": {}, \"children_ok\": {},",
-            r.np, r.children_ok
-        );
-        let _ = writeln!(
-            out,
-            "        \"rtt\": {{ \"iters\": {}, \"median_us\": {:.2}, \"p99_us\": {:.2} }},",
-            r.rtt_iters, r.rtt_median_us, r.rtt_p99_us
-        );
-        let _ = writeln!(
-            out,
-            "        \"allreduce\": {{ \"iters\": {}, \"median_us\": {:.2} }}",
-            r.allreduce_iters, r.allreduce_median_us
-        );
-        let _ = writeln!(out, "      }}{comma}");
+
+    /// Adds `key` to the gate object, right after `metric`.
+    fn with(mut self, key: &str, value: impl Into<Json>) -> Gate {
+        if let Json::Obj(members) = &mut self.json {
+            members.insert(1, (key.to_owned(), value.into()));
+        }
+        self
     }
-    let _ = writeln!(out, "    ]");
-    let _ = writeln!(out, "  }},");
-    let _ = writeln!(out, "  \"sim\": {{");
-    let _ = writeln!(out, "    \"engine\": \"SimWorld\",");
-    let _ = writeln!(out, "    \"wall_gate\": {{");
-    let _ = writeln!(
-        out,
-        "      \"metric\": \"wall seconds for the {SIM_RANKS}-rank broadcast + barrier scenario \
-         under virtual time\","
-    );
-    let _ = writeln!(out, "      \"threshold\": {SIM_GATE_MAX_WALL_SECS:.1},");
-    let _ = writeln!(out, "      \"value\": {:.4},", sim.wall_secs);
-    let _ = writeln!(
-        out,
-        "      \"pass\": {}",
-        sim.wall_secs <= SIM_GATE_MAX_WALL_SECS
-    );
-    let _ = writeln!(out, "    }},");
-    let _ = writeln!(out, "    \"determinism_gate\": {{");
-    let _ = writeln!(
-        out,
-        "      \"metric\": \"same seed run twice reproduces the event trace and telemetry \
-         byte-for-byte, with every op completing\","
-    );
-    let _ = writeln!(out, "      \"pass\": {}", sim.deterministic);
-    let _ = writeln!(out, "    }},");
-    let _ = writeln!(out, "    \"cases\": [");
-    let _ = writeln!(out, "      {{");
-    let _ = writeln!(
-        out,
-        "        \"scenario\": \"{}\", \"ranks\": {}, \"seed\": {},",
-        json_escape_free(sim.scenario),
-        sim.ranks,
-        sim.seed
-    );
-    let _ = writeln!(
-        out,
-        "        \"events_processed\": {}, \"virtual_ms\": {:.3}, \"wall_secs\": {:.4}, \
-         \"events_per_sec\": {:.0}",
-        sim.events_processed, sim.virtual_ms, sim.wall_secs, sim.events_per_sec
-    );
-    let _ = writeln!(out, "      }}");
-    let _ = writeln!(out, "    ]");
-    let _ = writeln!(out, "  }},");
-    let _ = writeln!(out, "  \"c10k\": {{");
-    let _ = writeln!(out, "    \"interface\": \"HPI\",");
-    let _ = writeln!(out, "    \"connections\": {C10K_CONNECTIONS},");
-    let _ = writeln!(out, "    \"latency_bytes\": {LAT_BYTES},");
-    let _ = writeln!(out, "    \"thread_gate\": {{");
-    let _ = writeln!(
-        out,
-        "      \"metric\": \"OS threads with {C10K_CONNECTIONS} connections open — the reactor \
-         multiplexes every connection onto O(cores) event loops, never one thread (let alone \
-         five) per connection\","
-    );
-    let _ = writeln!(out, "      \"threshold\": {C10K_MAX_THREADS},");
-    let _ = writeln!(out, "      \"value\": {},", c10k.os_threads_loaded);
-    let _ = writeln!(out, "      \"pass\": {}", c10k.thread_gate_pass);
-    let _ = writeln!(out, "    }},");
-    let _ = writeln!(out, "    \"latency_gate\": {{");
-    let _ = writeln!(
-        out,
-        "      \"metric\": \"p99 RTT round-robin across all {C10K_CONNECTIONS} connections, as a \
-         multiple of the {C10K_BASELINE}-connection p99\","
-    );
-    let _ = writeln!(out, "      \"threshold\": {C10K_MAX_P99_RATIO:.1},");
-    let _ = writeln!(out, "      \"value\": {:.2},", c10k.p99_ratio);
-    let _ = writeln!(out, "      \"pass\": {}", c10k.latency_gate_pass);
-    let _ = writeln!(out, "    }},");
-    let _ = writeln!(
-        out,
-        "    \"baseline\": {{ \"connections\": {C10K_BASELINE}, \"iters\": {}, \
-         \"median_us\": {:.2}, \"p99_us\": {:.2}, \"os_threads\": {} }},",
-        c10k.rtt_iters, c10k.baseline_median_us, c10k.baseline_p99_us, c10k.os_threads_baseline
-    );
-    let _ = writeln!(
-        out,
-        "    \"loaded\": {{ \"connections\": {C10K_CONNECTIONS}, \"iters\": {}, \
-         \"median_us\": {:.2}, \"p99_us\": {:.2}, \"os_threads\": {} }},",
-        c10k.rtt_iters, c10k.loaded_median_us, c10k.loaded_p99_us, c10k.os_threads_loaded
-    );
-    let r = &c10k.reactor;
-    let _ = writeln!(
-        out,
-        "    \"reactor\": {{ \"workers\": {}, \"endpoints\": {}, \"polls\": {}, \
-         \"wakeups\": {}, \"task_runs\": {}, \"timer_fires\": {}, \"fd_events\": {}, \
-         \"stalled_tasks\": {}, \"blocking_spawned\": {}, \"blocking_active\": {} }}",
-        r.workers,
-        r.endpoints,
-        r.polls,
-        r.wakeups,
-        r.task_runs,
-        r.timer_fires,
-        r.fd_events,
-        r.stalled_tasks,
-        r.blocking_spawned,
-        r.blocking_active
-    );
-    let _ = writeln!(out, "  }},");
-    let _ = writeln!(out, "  \"membership\": {{");
-    let _ = writeln!(out, "    \"np\": {},", membership.np);
-    let _ = writeln!(out, "    \"heartbeat_ms\": {:.0},", membership.heartbeat_ms);
-    let _ = writeln!(
-        out,
-        "    \"suspect_ms\": {:.0},",
-        membership_cfg().suspect_after.as_secs_f64() * 1e3
-    );
-    let _ = writeln!(
-        out,
-        "    \"dead_ms\": {:.0},",
-        membership_cfg().dead_after.as_secs_f64() * 1e3
-    );
-    let _ = writeln!(out, "    \"detection_gate\": {{");
-    let _ = writeln!(
-        out,
-        "      \"metric\": \"median silence -> death-view latency at the slowest survivor, \
-         in heartbeat intervals\","
-    );
-    let _ = writeln!(
-        out,
-        "      \"threshold\": {MEMBERSHIP_GATE_MAX_DETECT_INTERVALS:.1},"
-    );
-    let _ = writeln!(out, "      \"value\": {membership_detect_value:.2},");
-    let _ = writeln!(out, "      \"pass\": {membership_detect_pass}");
-    let _ = writeln!(out, "    }},");
-    let _ = writeln!(out, "    \"propagation_gate\": {{");
-    let _ = writeln!(
-        out,
-        "      \"metric\": \"median rejoin -> join-view latency at the slowest survivor, ms\","
-    );
-    let _ = writeln!(
-        out,
-        "      \"threshold\": {MEMBERSHIP_GATE_MAX_PROP_MS:.1},"
-    );
-    let _ = writeln!(out, "      \"value\": {membership_prop_value:.2},");
-    let _ = writeln!(out, "      \"pass\": {membership_prop_pass}");
-    let _ = writeln!(out, "    }},");
-    let _ = writeln!(out, "    \"ordering_gate\": {{");
-    let _ = writeln!(
-        out,
-        "      \"metric\": \"every survivor observed strictly increasing view epochs\","
-    );
-    let _ = writeln!(out, "      \"pass\": {}", membership.views_in_order);
-    let _ = writeln!(out, "    }},");
-    let _ = writeln!(out, "    \"cases\": [");
-    let _ = writeln!(out, "      {{");
-    let _ = writeln!(
-        out,
-        "        \"np\": {}, \"cycles\": {},",
-        membership.np, membership.cycles
-    );
-    let _ = writeln!(
-        out,
-        "        \"detection\": {{ \"median_ms\": {:.2}, \"max_ms\": {:.2} }},",
-        percentile(&membership.detect_ms, 0.5),
-        membership.detect_ms.last().copied().unwrap_or(0.0)
-    );
-    let _ = writeln!(
-        out,
-        "        \"propagation\": {{ \"median_ms\": {:.2}, \"max_ms\": {:.2} }}",
-        percentile(&membership.prop_ms, 0.5),
-        membership.prop_ms.last().copied().unwrap_or(0.0)
-    );
-    let _ = writeln!(out, "      }}");
-    let _ = writeln!(out, "    ]");
-    let _ = writeln!(out, "  }},");
-    let _ = writeln!(out, "  \"cases\": [");
-    for (i, r) in results.iter().enumerate() {
-        let comma = if i + 1 < results.len() { "," } else { "" };
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(
-            out,
-            "      \"interface\": \"{}\",",
-            json_escape_free(r.iface)
-        );
-        let _ = writeln!(
-            out,
-            "      \"package\": \"{}\",",
-            json_escape_free(r.package)
-        );
-        let _ = writeln!(
-            out,
-            "      \"latency\": {{ \"iters\": {}, \"median_us\": {:.2}, \"p99_us\": {:.2} }},",
-            r.lat_iters, r.lat_median_us, r.lat_p99_us
-        );
-        let _ = writeln!(out, "      \"bulk\": {{");
-        let _ = writeln!(
-            out,
-            "        \"messages\": {}, \"received\": {}, \"seconds\": {:.4}, \"throughput_mib_s\": {:.2},",
-            r.bulk_msgs, r.bulk_received, r.bulk_secs, r.bulk_mib_s
-        );
-        let _ = writeln!(
-            out,
-            "        \"pool\": {{ \"checkouts\": {}, \"hits\": {}, \"misses\": {}, \"returns\": {}, \"discards\": {} }},",
-            r.pool.checkouts, r.pool.hits, r.pool.misses, r.pool.returns, r.pool.discards
-        );
-        let _ = writeln!(
-            out,
-            "        \"allocs_per_msg_seed_equiv\": {:.3}, \"allocs_per_msg_pooled\": {:.3}, \"alloc_improvement\": {:.2}",
-            r.allocs_per_msg_seed_equiv, r.allocs_per_msg_pooled, r.alloc_improvement
-        );
-        let _ = writeln!(out, "      }}");
-        let _ = writeln!(out, "    }}{comma}");
+}
+
+/// A section's `cases` array.
+fn cases<T>(list: &[T], to_json: fn(&T) -> Json) -> Json {
+    Json::Arr(list.iter().map(to_json).collect())
+}
+
+/// The least of `values` (infinity when there are none).
+fn min(values: impl Iterator<Item = f64>) -> f64 {
+    values.fold(f64::INFINITY, f64::min)
+}
+
+/// `body` (an object) with the gates of `section` appended to it.
+fn with_gates(section: &str, body: Json, gates: &[Gate]) -> Json {
+    let Json::Obj(mut members) = body else {
+        unreachable!("sections are objects")
+    };
+    for g in gates {
+        let (at, key) = g.path.rsplit_once('.').unwrap_or(("", g.path));
+        if at == section {
+            members.push((key.to_owned(), g.json.clone()));
+        }
     }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
+    Json::Obj(members)
 }
 
 fn main() {
@@ -2089,7 +1854,7 @@ fn main() {
     }
 
     let mut results = Vec::new();
-    for package in [Package::Kernel, Package::User] {
+    for package in Package::ALL {
         for iface in Iface::ALL {
             let cfg = case_cfg(iface, package, smoke);
             eprintln!(
@@ -2099,21 +1864,7 @@ fn main() {
                 cfg.lat_iters,
                 cfg.bulk_msgs
             );
-            let result = match package {
-                Package::Kernel => run_case(
-                    iface,
-                    package,
-                    Arc::new(KernelPackage::new()) as Arc<dyn ThreadPackage>,
-                    cfg,
-                ),
-                Package::User => UserRuntime::new(UserConfig {
-                    mech: SwitchMech::Native,
-                    ..UserConfig::default()
-                })
-                .run(move |pkg| {
-                    run_case(iface, package, Arc::new(pkg) as Arc<dyn ThreadPackage>, cfg)
-                }),
-            };
+            let result = package.run(move |pkg| run_case(iface, package, pkg, cfg));
             eprintln!(
                 "  rtt p50 {:.1} us / p99 {:.1} us; bulk {:.1} MiB/s; \
                  allocs/msg {:.2} -> {:.2} ({:.0}x)",
@@ -2131,32 +1882,13 @@ fn main() {
     // Collectives: allreduce + broadcast latency against group size, both
     // packages, binomial tree vs repetitive flat fan-out.
     let mut coll_results = Vec::new();
-    for package in [Package::Kernel, Package::User] {
+    for package in Package::ALL {
         for group_size in COLL_GROUP_SIZES {
             eprintln!(
                 "perf_gate: collectives, {} package, {group_size} members...",
                 package.name()
             );
-            let result = match package {
-                Package::Kernel => run_coll_case(
-                    group_size,
-                    package,
-                    Arc::new(KernelPackage::new()) as Arc<dyn ThreadPackage>,
-                    smoke,
-                ),
-                Package::User => UserRuntime::new(UserConfig {
-                    mech: SwitchMech::Native,
-                    ..UserConfig::default()
-                })
-                .run(move |pkg| {
-                    run_coll_case(
-                        group_size,
-                        package,
-                        Arc::new(pkg) as Arc<dyn ThreadPackage>,
-                        smoke,
-                    )
-                }),
-            };
+            let result = package.run(move |pkg| run_coll_case(group_size, package, pkg, smoke));
             eprintln!(
                 "  allreduce p50 {:.1} us; bcast done {:.1} us binomial vs {:.1} us flat; \
                  origin egress {} vs {} frames ({:.2}x)",
@@ -2174,22 +1906,9 @@ fn main() {
     // Requests section: isend/irecv vs the blocking wrappers, and the
     // zero-copy MsgView receive path vs recv()'s detaching Vec.
     let mut req_results = Vec::new();
-    for package in [Package::Kernel, Package::User] {
+    for package in Package::ALL {
         eprintln!("perf_gate: requests, {} package...", package.name());
-        let result = match package {
-            Package::Kernel => run_requests_case(
-                package,
-                Arc::new(KernelPackage::new()) as Arc<dyn ThreadPackage>,
-                smoke,
-            ),
-            Package::User => UserRuntime::new(UserConfig {
-                mech: SwitchMech::Native,
-                ..UserConfig::default()
-            })
-            .run(move |pkg| {
-                run_requests_case(package, Arc::new(pkg) as Arc<dyn ThreadPackage>, smoke)
-            }),
-        };
+        let result = package.run(move |pkg| run_requests_case(package, pkg, smoke));
         eprintln!(
             "  rtt p50 {:.1} us blocking vs {:.1} us requests; allocs/msg {:.2} recv vs {:.2} MsgView ({:.0}x)",
             result.blocking_rtt_median_us,
@@ -2200,16 +1919,11 @@ fn main() {
         );
         req_results.push(result);
     }
-    let req_gate_value = req_results
-        .iter()
-        .map(|r| r.alloc_ratio)
-        .fold(f64::INFINITY, f64::min);
-    let req_gate_pass = req_gate_value >= REQ_GATE_MIN_RATIO;
 
     // mt_msgrate: aggregate message rate as application threads multiply,
     // each thread on its own channel (per-thread delivery shard).
     let mut msgrate_results = Vec::new();
-    for package in [Package::Kernel, Package::User] {
+    for package in Package::ALL {
         for iface in MSGRATE_IFACES {
             let msgs = msgrate_msgs(iface, smoke);
             for threads in msgrate::THREAD_COUNTS {
@@ -2218,83 +1932,30 @@ fn main() {
                     package.name(),
                     iface.name(),
                 );
-                let result = match package {
-                    Package::Kernel => run_msgrate_case(
-                        iface,
-                        package,
-                        Arc::new(KernelPackage::new()) as Arc<dyn ThreadPackage>,
-                        threads,
-                        msgs,
-                    ),
-                    Package::User => UserRuntime::new(UserConfig {
-                        mech: SwitchMech::Native,
-                        ..UserConfig::default()
-                    })
-                    .run(move |pkg| {
-                        run_msgrate_case(
-                            iface,
-                            package,
-                            Arc::new(pkg) as Arc<dyn ThreadPackage>,
-                            threads,
-                            msgs,
-                        )
-                    }),
-                };
+                let result =
+                    package.run(move |pkg| run_msgrate_case(iface, package, pkg, threads, msgs));
                 eprintln!("  aggregate {:.3} Mmsgs/s", result.aggregate_mmsgs_s);
                 msgrate_results.push(result);
             }
         }
     }
-    // The scaling gate reads the kernel-package HPI sweep: the user
-    // package is M:1 by construction (green threads share one core), so
-    // only kernel threads can exhibit CPU parallelism. The threshold is
-    // parallelism-aware — see msgrate::scaling_threshold.
-    let msgrate_cpus = msgrate::host_cpus();
-    let msgrate_threshold = msgrate::scaling_threshold(msgrate_cpus);
-    let msgrate_agg = |threads: usize| {
-        msgrate_results
-            .iter()
-            .find(|r| r.iface == "HPI" && r.package == "kernel" && r.threads == threads)
-            .map(|r| r.aggregate_mmsgs_s)
-            .unwrap_or(0.0)
-    };
-    let msgrate_gate_value = msgrate_agg(4) / msgrate_agg(1).max(f64::MIN_POSITIVE);
-    let msgrate_gate_pass = msgrate_gate_value >= msgrate_threshold;
 
     // Telemetry section: the flight recorder must be production-cheap —
     // its enabled-vs-kill-switch msgrate delta is the instrumentation
     // cost the gate bounds.
     let mut telemetry_results = Vec::new();
-    for package in [Package::Kernel, Package::User] {
+    for package in Package::ALL {
         eprintln!(
             "perf_gate: telemetry overhead, {} package over HPI...",
             package.name()
         );
-        let result = match package {
-            Package::Kernel => run_telemetry_case(
-                package,
-                Arc::new(KernelPackage::new()) as Arc<dyn ThreadPackage>,
-                smoke,
-            ),
-            Package::User => UserRuntime::new(UserConfig {
-                mech: SwitchMech::Native,
-                ..UserConfig::default()
-            })
-            .run(move |pkg| {
-                run_telemetry_case(package, Arc::new(pkg) as Arc<dyn ThreadPackage>, smoke)
-            }),
-        };
+        let result = package.run(move |pkg| run_telemetry_case(package, pkg, smoke));
         eprintln!(
             "  {:.3} Mmsgs/s recording vs {:.3} Mmsgs/s kill-switch ({:+.1}% overhead)",
             result.enabled_mmsgs_s, result.disabled_mmsgs_s, result.overhead_pct,
         );
         telemetry_results.push(result);
     }
-    let telemetry_gate_value = telemetry_results
-        .iter()
-        .map(|r| r.overhead_pct)
-        .fold(f64::NEG_INFINITY, f64::max);
-    let telemetry_gate_pass = telemetry_gate_value <= TELEMETRY_GATE_MAX_OVERHEAD_PCT;
 
     // Cross-process cluster section: this binary re-executes itself as
     // child ranks; every number here crossed a real process boundary over
@@ -2313,9 +1974,6 @@ fn main() {
         );
         cluster_results.push(result);
     }
-    let cluster_gate_pass = cluster_results.iter().all(|r| {
-        r.children_ok == (r.np - 1) as usize && r.rtt_median_us > 0.0 && r.allreduce_median_us > 0.0
-    });
 
     // SimWorld: the deterministic thousand-rank engine must stay fast
     // (events/sec) and bit-reproducible.
@@ -2349,200 +2007,206 @@ fn main() {
         membership_cycles(smoke)
     );
     let membership = run_membership_case(smoke);
-    let membership_detect_value = percentile(&membership.detect_ms, 0.5) / membership.heartbeat_ms;
-    let membership_detect_pass = membership_detect_value <= MEMBERSHIP_GATE_MAX_DETECT_INTERVALS;
-    let membership_prop_value = percentile(&membership.prop_ms, 0.5);
-    let membership_prop_pass = membership_prop_value <= MEMBERSHIP_GATE_MAX_PROP_MS;
+    let detect_ms = percentile(&membership.detect_ms, 0.5);
+    let prop_ms = percentile(&membership.prop_ms, 0.5);
     eprintln!(
-        "  detection p50 {:.1} ms ({:.2} heartbeat intervals), view propagation p50 {:.1} ms, \
-         epochs in order: {}",
-        percentile(&membership.detect_ms, 0.5),
-        membership_detect_value,
-        membership_prop_value,
+        "  detection p50 {detect_ms:.1} ms ({:.2} heartbeat intervals), view propagation p50 \
+         {prop_ms:.1} ms, epochs in order: {}",
+        detect_ms / membership.heartbeat_ms,
         membership.views_in_order,
     );
 
-    // The gate: the pooled+batched HPI bulk path must allocate at least
-    // GATE_MIN_IMPROVEMENT times less than the seed path did.
-    let gate_value = results
-        .iter()
-        .filter(|r| r.iface == "HPI")
-        .map(|r| r.alloc_improvement)
-        .fold(f64::INFINITY, f64::min);
-    let gate_pass = gate_value >= GATE_MIN_IMPROVEMENT;
+    // The scaling gate reads the kernel-package HPI sweep: the user
+    // package is M:1 by construction (green threads share one core), so
+    // only kernel threads can exhibit CPU parallelism. The threshold is
+    // parallelism-aware — see msgrate::scaling_threshold.
+    let msgrate_cpus = msgrate::host_cpus();
+    let msgrate_agg = |threads: usize| {
+        msgrate_results
+            .iter()
+            .find(|r| r.iface == "HPI" && r.package == "kernel" && r.threads == threads)
+            .map_or(0.0, |r| r.aggregate_mmsgs_s)
+    };
+    let gates = [
+        // The pooled+batched HPI bulk path must allocate at least
+        // GATE_MIN_IMPROVEMENT times less than the seed path did.
+        Gate::at_least(
+            "gate",
+            "min HPI bulk alloc_improvement across packages",
+            GATE_MIN_IMPROVEMENT,
+            min(results
+                .iter()
+                .filter(|r| r.iface == "HPI")
+                .map(|r| r.alloc_improvement)),
+        ),
+        // The binomial tree must beat the repetitive flat fan-out on
+        // origin egress for every measured group of >= COLL_GATE_MIN_GROUP.
+        Gate::at_least(
+            "collectives.gate",
+            &format!(
+                "min origin egress improvement (flat frames / binomial frames) for groups >= \
+                 {COLL_GATE_MIN_GROUP}"
+            ),
+            COLL_GATE_MIN_EGRESS_RATIO,
+            min(coll_results
+                .iter()
+                .filter(|r| r.group_size >= COLL_GATE_MIN_GROUP)
+                .map(|r| r.egress_ratio)),
+        ),
+        Gate::at_least(
+            "requests.gate",
+            &format!(
+                "min (recv allocs/msg / MsgView allocs/msg) across packages — the zero-copy \
+                 receive path must allocate >= {REQ_GATE_MIN_RATIO:.0}x fewer buffers per message"
+            ),
+            REQ_GATE_MIN_RATIO,
+            min(req_results.iter().map(|r| r.alloc_ratio)),
+        ),
+        Gate::at_least(
+            "mt_msgrate.gate",
+            "HPI kernel-package aggregate Mmsgs/s at 4 threads over 1 thread; threshold is \
+             parallelism-aware (2.0 at >= 4 CPUs, 1.2 at 2-3, 0.5 no-collapse at 1 — see \
+             docs/BENCH_SCHEMA.md)",
+            msgrate::scaling_threshold(msgrate_cpus),
+            msgrate_agg(4) / msgrate_agg(1).max(f64::MIN_POSITIVE),
+        )
+        .with("cpus", msgrate_cpus),
+        Gate::at_most(
+            "telemetry.gate",
+            "max HPI msgrate overhead of the flight recorder across packages (recording \
+             enabled vs kill-switch disabled), percent",
+            TELEMETRY_GATE_MAX_OVERHEAD_PCT,
+            telemetry_results
+                .iter()
+                .map(|r| r.overhead_pct)
+                .fold(f64::NEG_INFINITY, f64::max),
+        ),
+        Gate::check(
+            "cluster.gate",
+            "every child rank of every cross-process case exits 0 and rank 0 measures non-zero \
+             latencies",
+            cluster_results.iter().all(|r| {
+                r.children_ok == (r.np - 1) as usize
+                    && r.rtt_median_us > 0.0
+                    && r.allreduce_median_us > 0.0
+            }),
+        ),
+        Gate::at_most(
+            "sim.wall_gate",
+            &format!(
+                "wall seconds for the {SIM_RANKS}-rank broadcast + barrier scenario under \
+                 virtual time"
+            ),
+            SIM_GATE_MAX_WALL_SECS,
+            sim.wall_secs,
+        ),
+        Gate::check(
+            "sim.determinism_gate",
+            "same seed run twice reproduces the event trace and telemetry byte-for-byte, with \
+             every op completing",
+            sim.deterministic,
+        ),
+        Gate::at_most(
+            "c10k.thread_gate",
+            &format!(
+                "OS threads with {C10K_CONNECTIONS} connections open — the reactor multiplexes \
+                 every connection onto O(cores) event loops, never one thread (let alone five) \
+                 per connection"
+            ),
+            C10K_MAX_THREADS as f64,
+            c10k.os_threads_loaded as f64,
+        ),
+        Gate::at_most(
+            "c10k.latency_gate",
+            &format!(
+                "p99 RTT round-robin across all {C10K_CONNECTIONS} connections, as a multiple \
+                 of the {C10K_BASELINE}-connection p99"
+            ),
+            C10K_MAX_P99_RATIO,
+            c10k.p99_ratio,
+        ),
+        Gate::at_most(
+            "membership.detection_gate",
+            "median silence -> death-view latency at the slowest survivor, in heartbeat \
+             intervals",
+            MEMBERSHIP_GATE_MAX_DETECT_INTERVALS,
+            detect_ms / membership.heartbeat_ms,
+        ),
+        Gate::at_most(
+            "membership.propagation_gate",
+            "median rejoin -> join-view latency at the slowest survivor, ms",
+            MEMBERSHIP_GATE_MAX_PROP_MS,
+            prop_ms,
+        ),
+        Gate::check(
+            "membership.ordering_gate",
+            "every survivor observed strictly increasing view epochs",
+            membership.views_in_order,
+        ),
+    ];
 
-    // The collectives gate: the binomial tree must beat the repetitive
-    // flat fan-out on origin egress for every measured group of
-    // >= COLL_GATE_MIN_GROUP.
-    let coll_gate_value = coll_results
-        .iter()
-        .filter(|r| r.group_size >= COLL_GATE_MIN_GROUP)
-        .map(|r| r.egress_ratio)
-        .fold(f64::INFINITY, f64::min);
-    let coll_gate_pass = coll_gate_value >= COLL_GATE_MIN_EGRESS_RATIO;
-
-    let mut json = String::new();
-    emit_json(
-        &mut json,
-        &results,
-        &coll_results,
-        &req_results,
-        &msgrate_results,
-        &telemetry_results,
-        &cluster_results,
-        &sim,
-        &c10k,
-        smoke,
-        gate_value,
-        gate_pass,
-        coll_gate_value,
-        coll_gate_pass,
-        req_gate_value,
-        req_gate_pass,
-        msgrate_cpus,
-        msgrate_threshold,
-        msgrate_gate_value,
-        msgrate_gate_pass,
-        telemetry_gate_value,
-        telemetry_gate_pass,
-        cluster_gate_pass,
-        &membership,
-        membership_detect_value,
-        membership_detect_pass,
-        membership_prop_value,
-        membership_prop_pass,
+    let section = |name: &str, body: Json| with_gates(name, body, &gates);
+    let doc = section(
+        "",
+        obj! {
+            "schema": "ncs-dataplane-bench/9", "mode": if smoke { "smoke" } else { "full" },
+            "latency_bytes": LAT_BYTES, "bulk_message_bytes": BULK_BYTES,
+            "alloc_metric": "pool checkouts = seed-path allocations at the same call sites; \
+                pool misses = pooled-path allocations; improvement = checkouts / max(misses, 1)",
+            "collectives": section("collectives", obj! {
+                "interface": "HPI", "allreduce_elems": COLL_ALLREDUCE_ELEMS,
+                "broadcast_bytes": COLL_BCAST_BYTES,
+                "cases": cases(&coll_results, CollCaseResult::to_json),
+            }),
+            "requests": section("requests", obj! {
+                "interface": "HPI", "latency_bytes": REQ_LAT_BYTES,
+                "bulk_message_bytes": REQ_BULK_BYTES,
+                "cases": cases(&req_results, RequestsCaseResult::to_json),
+            }),
+            "mt_msgrate": section("mt_msgrate", obj! {
+                "message_bytes": msgrate::MESSAGE_SIZE, "window": msgrate::WINDOW_SIZE,
+                "cases": cases(&msgrate_results, MsgRateCaseResult::to_json),
+            }),
+            "telemetry": section("telemetry", obj! {
+                "interface": "HPI", "message_bytes": msgrate::MESSAGE_SIZE,
+                "cases": cases(&telemetry_results, TelemetryCaseResult::to_json),
+            }),
+            "cluster": section("cluster", obj! {
+                "transport": "SCI", "rtt_bytes": CLUSTER_RTT_BYTES,
+                "allreduce_elems": CLUSTER_ALLREDUCE_ELEMS,
+                "cases": cases(&cluster_results, ClusterCaseResult::to_json),
+            }),
+            "sim": section("sim", sim.to_json()),
+            "c10k": section("c10k", c10k.to_json()),
+            "membership": section("membership", membership.to_json()),
+            "cases": cases(&results, CaseResult::to_json),
+        },
     );
-    let mut file = std::fs::File::create(&out_path).expect("create output file");
-    file.write_all(json.as_bytes()).expect("write output file");
+    std::fs::write(&out_path, format!("{doc}\n")).expect("write output file");
     eprintln!("perf_gate: wrote {out_path}");
 
-    // Every bulk phase must actually have delivered its traffic.
-    let lost: Vec<&CaseResult> = results
-        .iter()
-        .filter(|r| r.bulk_received < r.bulk_msgs)
-        .collect();
-    if !lost.is_empty() {
-        for r in &lost {
-            eprintln!(
-                "perf_gate: FAIL — {}/{} delivered only {}/{} bulk messages",
-                r.iface, r.package, r.bulk_received, r.bulk_msgs
-            );
-        }
-        std::process::exit(1);
-    }
-    if !gate_pass {
+    // Every bulk phase must actually have delivered its traffic, and
+    // every gate must pass; name every failure before exiting.
+    let mut failed = false;
+    for r in results.iter().filter(|r| r.bulk_received < r.bulk_msgs) {
         eprintln!(
-            "perf_gate: FAIL — HPI bulk allocation improvement {gate_value:.2}x \
-             is below the {GATE_MIN_IMPROVEMENT:.1}x gate"
+            "perf_gate: FAIL — {}/{} delivered only {}/{} bulk messages",
+            r.iface, r.package, r.bulk_received, r.bulk_msgs
         );
+        failed = true;
+    }
+    for g in gates.iter().filter(|g| !g.pass) {
+        let metric = g
+            .json
+            .get("metric")
+            .and_then(Json::as_str)
+            .unwrap_or_default();
+        eprintln!("perf_gate: FAIL — {}: {metric}", g.summary);
+        failed = true;
+    }
+    if failed {
         std::process::exit(1);
     }
-    if !coll_gate_pass {
-        eprintln!(
-            "perf_gate: FAIL — binomial-tree broadcast origin egress is only \
-             {coll_gate_value:.2}x better than the flat fan-out for some group of \
-             >= {COLL_GATE_MIN_GROUP} (must be >= {COLL_GATE_MIN_EGRESS_RATIO:.1}x)"
-        );
-        std::process::exit(1);
-    }
-    if !req_gate_pass {
-        eprintln!(
-            "perf_gate: FAIL — the zero-copy MsgView receive path allocates only \
-             {req_gate_value:.2}x fewer buffers per message than recv() \
-             (must be >= {REQ_GATE_MIN_RATIO:.1}x)"
-        );
-        std::process::exit(1);
-    }
-    if !msgrate_gate_pass {
-        eprintln!(
-            "perf_gate: FAIL — 4-thread aggregate message rate on HPI (kernel package) is \
-             only {msgrate_gate_value:.2}x the 1-thread figure (must be >= \
-             {msgrate_threshold:.1}x on this {msgrate_cpus}-CPU host)"
-        );
-        std::process::exit(1);
-    }
-    if !telemetry_gate_pass {
-        eprintln!(
-            "perf_gate: FAIL — the flight recorder costs {telemetry_gate_value:.2}% of the \
-             HPI message rate over the kill-switch baseline (must be <= \
-             {TELEMETRY_GATE_MAX_OVERHEAD_PCT:.1}%)"
-        );
-        std::process::exit(1);
-    }
-    if !cluster_gate_pass {
-        eprintln!(
-            "perf_gate: FAIL — a cross-process cluster case lost a child rank or \
-             measured nothing (see the cluster section of the JSON)"
-        );
-        std::process::exit(1);
-    }
-    if sim.wall_secs > SIM_GATE_MAX_WALL_SECS {
-        eprintln!(
-            "perf_gate: FAIL — the {SIM_RANKS}-rank sim scenario took {:.1}s of wall time \
-             (must be <= {SIM_GATE_MAX_WALL_SECS:.1}s)",
-            sim.wall_secs
-        );
-        std::process::exit(1);
-    }
-    if !sim.deterministic {
-        eprintln!(
-            "perf_gate: FAIL — the sim engine is not deterministic (same seed {SIM_SEED} \
-             produced a different trace or telemetry, or an op failed)"
-        );
-        std::process::exit(1);
-    }
-    if !c10k.thread_gate_pass {
-        eprintln!(
-            "perf_gate: FAIL — {} OS threads with {C10K_CONNECTIONS} connections open \
-             (must be <= {C10K_MAX_THREADS}; the reactor must not scale threads with \
-             connections)",
-            c10k.os_threads_loaded
-        );
-        std::process::exit(1);
-    }
-    if !c10k.latency_gate_pass {
-        eprintln!(
-            "perf_gate: FAIL — p99 RTT across {C10K_CONNECTIONS} connections is \
-             {:.2}x the {C10K_BASELINE}-connection p99 (must be <= {C10K_MAX_P99_RATIO:.1}x)",
-            c10k.p99_ratio
-        );
-        std::process::exit(1);
-    }
-    if !membership_detect_pass {
-        eprintln!(
-            "perf_gate: FAIL — median failure detection took {membership_detect_value:.2} \
-             heartbeat intervals (must be <= {MEMBERSHIP_GATE_MAX_DETECT_INTERVALS:.1}); the \
-             detector sweep or the view push is stalling"
-        );
-        std::process::exit(1);
-    }
-    if !membership_prop_pass {
-        eprintln!(
-            "perf_gate: FAIL — median view propagation took {membership_prop_value:.2} ms \
-             (must be <= {MEMBERSHIP_GATE_MAX_PROP_MS:.1} ms); views are supposed to be \
-             pushed on the subscribers' channels, not polled"
-        );
-        std::process::exit(1);
-    }
-    if !membership.views_in_order {
-        eprintln!(
-            "perf_gate: FAIL — a survivor observed view epochs out of order or repeated \
-             (every sink must see strictly increasing view ids)"
-        );
-        std::process::exit(1);
-    }
-    eprintln!(
-        "perf_gate: PASS — HPI bulk allocation improvement {gate_value:.2}x, \
-         binomial broadcast origin egress {coll_gate_value:.2}x flat for groups \
-         >= {COLL_GATE_MIN_GROUP}, zero-copy receives {req_gate_value:.2}x fewer \
-         allocs/msg than recv(), 4-thread message rate {msgrate_gate_value:.2}x the \
-         1-thread figure (>= {msgrate_threshold:.1}x on {msgrate_cpus} CPUs), \
-         flight-recorder overhead {telemetry_gate_value:.2}% (<= \
-         {TELEMETRY_GATE_MAX_OVERHEAD_PCT:.1}%), cross-process cluster cases complete, \
-         {C10K_CONNECTIONS} connections on {} reactor threads with p99 {:.2}x baseline, \
-         {SIM_RANKS}-rank sim at {:.0} events/s deterministic, membership detection \
-         {membership_detect_value:.2} heartbeat intervals with view propagation \
-         {membership_prop_value:.1} ms",
-        c10k.reactor.workers, c10k.p99_ratio, sim.events_per_sec
-    );
+    let summary: Vec<&str> = gates.iter().map(|g| g.summary.as_str()).collect();
+    eprintln!("perf_gate: PASS — {}", summary.join(", "));
 }

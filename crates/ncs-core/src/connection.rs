@@ -409,14 +409,16 @@ impl ConnShared {
     pub(crate) fn link_down(&self) {
         self.recorder.record(EventKind::LinkDown, 0, 0, 0);
         if ncs_obs::postmortem::sink_path().is_some() {
-            let dump = format!(
-                "{{\"event\":\"link_down\",\"peer\":\"{}\",\"flight\":{}}}",
-                ncs_obs::json::escape(&self.peer_name),
-                self.recorder
-                    .dump_json_labelled(&format!("{}->{}", self.id, self.peer_name)),
-            );
-            ncs_obs::postmortem::write(&dump);
+            let flight = self.recorder.dump_json_labelled(&self.flight_label());
+            let peer = self.peer_name.as_str();
+            let dump = ncs_obs::obj! { "event": "link_down", "peer": peer, "flight": flight };
+            ncs_obs::postmortem::write(&dump.to_string());
         }
+    }
+
+    /// The label this connection's flight dump carries: `<id>-><peer>`.
+    pub(crate) fn flight_label(&self) -> String {
+        format!("{}->{}", self.id, self.peer_name)
     }
 
     /// Largest message this configuration accepts.

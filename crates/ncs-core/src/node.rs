@@ -6,7 +6,8 @@ use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use ncs_obs::{MetricsSnapshot, Registry};
+use ncs_obs::json::Json;
+use ncs_obs::{obj, MetricsSnapshot, Registry};
 use ncs_threads::sync::Mailbox;
 use ncs_threads::{JoinHandle, KernelPackage, PackageKind, SpawnOptions, ThreadPackage};
 use ncs_transport::{Connection as Transport, TransportError};
@@ -540,23 +541,14 @@ impl NcsNode {
     /// for `ncs-launch --telemetry` aggregation.
     pub fn telemetry(&self) -> String {
         let conns: Vec<Arc<ConnShared>> = self.inner.conns.lock().values().cloned().collect();
-        let mut flights: Vec<String> = conns
+        let mut flights: Vec<Json> = conns
             .iter()
-            .map(|c| {
-                c.recorder
-                    .dump_json_labelled(&format!("{}->{}", c.id, c.peer_name))
-            })
+            .map(|c| c.recorder.dump_json_labelled(&c.flight_label()))
             .collect();
-        flights.sort();
-        format!(
-            "{{\"node\":\"{}\",\"rank\":{},\"metrics\":{},\"flights\":[{}]}}",
-            ncs_obs::json::escape(&self.inner.name),
-            self.inner
-                .rank
-                .map_or_else(|| "null".to_owned(), |r| r.to_string()),
-            self.metrics_snapshot().render_json(),
-            flights.join(",")
-        )
+        flights.sort_by_cached_key(Json::to_string);
+        let metrics = self.metrics_snapshot().to_json();
+        let (node, rank) = (self.inner.name.as_str(), self.inner.rank);
+        obj! { "node": node, "rank": rank, "metrics": metrics, "flights": flights }.to_string()
     }
 
     /// Shuts the node down: closes every connection, stops all NCS threads.

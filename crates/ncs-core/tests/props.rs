@@ -8,6 +8,7 @@ use ncs_core::error_control::{build_receiver, build_sender, ReceiverStep, Sender
 use ncs_core::packet::{CtrlMsg, DataHeader, DataPacket, Hello};
 use ncs_core::seq::AckBitmap;
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 fn arb_flow_control() -> impl Strategy<Value = FlowControlAlg> {
     prop_oneof![
@@ -130,6 +131,37 @@ proptest! {
         for m in msgs {
             prop_assert_eq!(Hello::decode(&m.encode()).unwrap(), m);
         }
+    }
+
+    /// Every selective-repeat ACK carries a bitmap decoded off the wire:
+    /// random bytes, truncations and bit flips of valid encodings are
+    /// errors or canonical in-range bitmaps, never panics.
+    #[test]
+    fn bitmap_decode_never_panics_on_corruption(
+        total in 1u32..300,
+        marks in proptest::collection::vec(any::<u32>(), 0..64),
+        junk in proptest::collection::vec(any::<u8>(), 0..80),
+        cut: usize,
+        at: usize,
+        bit in 0u8..8,
+    ) {
+        let accepted_is_canonical = |bytes: &[u8]| -> Result<(), TestCaseError> {
+            if let Ok(b) = AckBitmap::decode(bytes) {
+                prop_assert_eq!(b.encode(), bytes.to_vec());
+                prop_assert!(b.missing().iter().all(|&seq| seq < b.total()));
+            }
+            Ok(())
+        };
+        accepted_is_canonical(&junk)?;
+        let mut b = AckBitmap::all_missing(total);
+        for m in marks {
+            b.mark_received(m % total);
+        }
+        let mut bytes = b.encode();
+        prop_assert!(AckBitmap::decode(&bytes[..cut % bytes.len()]).is_err());
+        let at = at % bytes.len();
+        bytes[at] ^= 1 << bit;
+        accepted_is_canonical(&bytes)?;
     }
 
     /// Bitmap invariants: missing() lists exactly the unmarked positions,

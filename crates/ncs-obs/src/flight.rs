@@ -18,7 +18,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::json;
+use crate::json::Json;
+use crate::obj;
 
 /// Default ring capacity (events per connection).
 pub const DEFAULT_FLIGHT_CAPACITY: usize = 256;
@@ -94,16 +95,11 @@ pub struct FlightEvent {
 }
 
 impl FlightEvent {
-    /// Renders the event as one JSON object.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"us\":{},\"kind\":\"{}\",\"tag\":{},\"seq\":{},\"len\":{}}}",
-            self.micros,
-            self.kind.as_str(),
-            self.tag,
-            self.seq,
-            self.len
-        )
+    /// The event as one JSON object:
+    /// `{"us":N,"kind":"...","tag":N,"seq":N,"len":N}`.
+    pub fn to_json(&self) -> Json {
+        let kind = self.kind.as_str();
+        obj! { "us": self.micros, "kind": kind, "tag": self.tag, "seq": self.seq, "len": self.len }
     }
 }
 
@@ -230,21 +226,15 @@ impl FlightRecorder {
         out
     }
 
-    /// Renders the dump as a JSON array of event objects.
-    pub fn dump_json(&self) -> String {
-        let events: Vec<String> = self.dump().iter().map(FlightEvent::to_json).collect();
-        format!("[{}]", events.join(","))
+    /// The dump as a JSON array of event objects.
+    pub fn dump_json(&self) -> Json {
+        Json::Arr(self.dump().iter().map(FlightEvent::to_json).collect())
     }
 
-    /// Renders a labelled dump object:
+    /// A labelled dump object:
     /// `{"conn":"<label>","recorded":N,"events":[...]}`.
-    pub fn dump_json_labelled(&self, label: &str) -> String {
-        format!(
-            "{{\"conn\":\"{}\",\"recorded\":{},\"events\":{}}}",
-            json::escape(label),
-            self.recorded(),
-            self.dump_json()
-        )
+    pub fn dump_json_labelled(&self, label: &str) -> Json {
+        obj! { "conn": label, "recorded": self.recorded(), "events": self.dump_json() }
     }
 }
 
@@ -317,10 +307,38 @@ mod tests {
     fn json_dump_shape() {
         let r = FlightRecorder::new(4);
         r.record(EventKind::FcWait, 1, 2, 3);
-        let j = r.dump_json_labelled("1->rank1");
-        assert!(j.contains("\"conn\":\"1->rank1\""), "{j}");
-        assert!(j.contains("\"kind\":\"fc_wait\""), "{j}");
-        assert!(j.contains("\"recorded\":1"), "{j}");
+        let j = r.dump_json_labelled("1->rank1").to_string();
+        let v = Json::parse(&j).expect(&j);
+        assert_eq!(v.get("conn").and_then(Json::as_str), Some("1->rank1"));
+        assert_eq!(v.get("recorded").and_then(Json::as_u64), Some(1));
+        let events = v.get("events").and_then(Json::as_arr).expect(&j);
+        assert_eq!(events.len(), 1);
+        assert_eq!(
+            events[0].get("kind").and_then(Json::as_str),
+            Some("fc_wait")
+        );
+    }
+
+    /// Pins the exact bytes dumps have always been written as.
+    #[test]
+    fn json_golden_bytes() {
+        let e = FlightEvent {
+            micros: 12,
+            kind: EventKind::FcWait,
+            tag: 1,
+            seq: 2,
+            len: 3,
+        };
+        assert_eq!(
+            e.to_json().to_string(),
+            r#"{"us":12,"kind":"fc_wait","tag":1,"seq":2,"len":3}"#
+        );
+        assert_eq!(
+            FlightRecorder::new(4)
+                .dump_json_labelled("1->r\"1")
+                .to_string(),
+            r#"{"conn":"1->r\"1","recorded":0,"events":[]}"#
+        );
     }
 
     #[test]

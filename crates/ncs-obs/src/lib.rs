@@ -25,6 +25,9 @@
 //!   (isend → packetize → FC wait → EC session → wire → deliver),
 //!   two atomic words per event, tear-tolerant dumps, and a runtime
 //!   kill-switch whose "off" cost is a single relaxed load.
+//! * [`json::Json`] — the workspace's one JSON value type: a compact
+//!   writer, a depth-limited parser and the [`obj!`] builder. Every
+//!   JSON document the workspace writes or reads goes through it.
 //! * [`postmortem`] — the `NCS_TELEMETRY_FILE` sink a dying rank writes
 //!   its final dump to, which `ncs-launch` wraps with the exit cause.
 //!

@@ -3,8 +3,9 @@
 //! used by cluster aggregation (`ncs-launch --telemetry`) and the
 //! post-mortem sink.
 
-use crate::json;
+use crate::json::Json;
 use crate::metrics::{bucket_upper, HistSnapshot};
+use crate::obj;
 
 /// What kind of instrument a family's series come from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -201,47 +202,29 @@ impl MetricsSnapshot {
     /// [{"name":"x_total","kind":"counter","series":
     ///    [{"labels":{"conn":"1"},"value":3}]}]
     /// ```
+    pub fn to_json(&self) -> Json {
+        let family = |f: &Family| {
+            let series = f.series.iter().map(|s| {
+                let labels = s.labels.iter().map(|(k, v)| (k.clone(), v.as_str().into()));
+                let value = match &s.value {
+                    MetricValue::Counter(v) => Json::from(*v),
+                    MetricValue::Gauge(v) => Json::from(*v),
+                    MetricValue::Histogram(h) => obj! {
+                        "count": h.count, "sum": h.sum, "p50": h.p50, "p90": h.p90,
+                        "p99": h.p99, "p999": h.p999, "max": h.max,
+                    },
+                };
+                obj! { "labels": Json::Obj(labels.collect()), "value": value }
+            });
+            let series = Json::Arr(series.collect());
+            obj! { "name": f.name.as_str(), "kind": f.kind.as_str(), "series": series }
+        };
+        Json::Arr(self.families.iter().map(family).collect())
+    }
+
+    /// [`to_json`](Self::to_json), written compactly.
     pub fn render_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, f) in self.families.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"kind\":\"{}\",\"series\":[",
-                json::escape(&f.name),
-                f.kind.as_str()
-            ));
-            for (j, s) in f.series.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str("{\"labels\":{");
-                for (k, (lk, lv)) in s.labels.iter().enumerate() {
-                    if k > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&format!(
-                        "\"{}\":\"{}\"",
-                        json::escape(lk),
-                        json::escape(lv)
-                    ));
-                }
-                out.push_str("},\"value\":");
-                match &s.value {
-                    MetricValue::Counter(v) => out.push_str(&v.to_string()),
-                    MetricValue::Gauge(v) => out.push_str(&v.to_string()),
-                    MetricValue::Histogram(h) => out.push_str(&format!(
-                        "{{\"count\":{},\"sum\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"p999\":{},\"max\":{}}}",
-                        h.count, h.sum, h.p50, h.p90, h.p99, h.p999, h.max
-                    )),
-                }
-                out.push('}');
-            }
-            out.push_str("]}");
-        }
-        out.push(']');
-        out
+        self.to_json().to_string()
     }
 }
 
@@ -301,11 +284,38 @@ mod tests {
     }
 
     #[test]
-    fn json_rendering_is_wellformed_enough_to_grep() {
+    fn json_rendering_parses_to_the_snapshot() {
         let j = sample().render_json();
-        assert!(j.starts_with('[') && j.ends_with(']'), "{j}");
-        assert!(j.contains("\"name\":\"msgs_total\""), "{j}");
-        assert!(j.contains("\"value\":42"), "{j}");
-        assert!(j.contains("\"count\":4"), "{j}");
+        let v = Json::parse(&j).expect(&j);
+        let fams = v.as_arr().expect("array of families");
+        assert_eq!(fams.len(), 2);
+        let msgs = &fams[1];
+        assert_eq!(msgs.get("name").and_then(Json::as_str), Some("msgs_total"));
+        let series = &msgs.get("series").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(series.get("value").and_then(Json::as_u64), Some(42));
+        let lat = fams[0].get("series").and_then(Json::as_arr).unwrap()[0]
+            .get("value")
+            .unwrap();
+        assert_eq!(lat.get("count").and_then(Json::as_u64), Some(4));
+    }
+
+    /// Pins the exact bytes the JSON rendering has always produced (the
+    /// telemetry plane's consumers grep it).
+    #[test]
+    fn json_rendering_golden_bytes() {
+        let mut snap = sample();
+        snap.families.push(Family {
+            name: "depth".into(),
+            help: String::new(),
+            kind: MetricKind::Gauge,
+            series: vec![Series {
+                labels: vec![("peer".into(), "a\"b\\\n".into()), ("q".into(), "2".into())],
+                value: MetricValue::Gauge(-7),
+            }],
+        });
+        assert_eq!(
+            snap.render_json(),
+            r#"[{"name":"lat_us","kind":"histogram","series":[{"labels":{"conn":"1"},"value":{"count":4,"sum":106,"p50":3,"p90":127,"p99":127,"p999":127,"max":127}}]},{"name":"msgs_total","kind":"counter","series":[{"labels":{},"value":42}]},{"name":"depth","kind":"gauge","series":[{"labels":{"peer":"a\"b\\\n","q":"2"},"value":-7}]}]"#
+        );
     }
 }

@@ -13,6 +13,9 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use ncs_obs::json::Json;
+use ncs_obs::obj;
+
 use crate::cluster::{env, ClusterError};
 use crate::rendezvous::RendezvousServer;
 
@@ -236,12 +239,20 @@ fn rank_telemetry_path(dir: &std::path::Path, rank: u32) -> PathBuf {
     dir.join(format!("rank{rank}.telemetry.json"))
 }
 
-/// Accepts a rank's file dump only when it plausibly survived the exit
-/// intact — a rank killed mid-write leaves a truncated object that would
-/// corrupt everything we splice it into.
-fn intact_json_object(s: &str) -> Option<&str> {
-    let t = s.trim();
-    (t.starts_with('{') && t.ends_with('}')).then_some(t)
+/// A rank's telemetry for the world view: the dump it pushed if that
+/// parses as a JSON object, else its file dump if that does, else
+/// `null`. A rank killed mid-write leaves a truncated file, and a push is
+/// whatever bytes arrived; neither may corrupt the world view.
+fn rank_dump(rank: u32, pushed: Option<&str>, file: Option<&str>) -> Json {
+    for (source, text) in [("pushed", pushed), ("file", file)] {
+        let Some(text) = text else { continue };
+        match Json::parse(text) {
+            Ok(dump @ Json::Obj(_)) => return dump,
+            Ok(_) => eprintln!("ncs-launch: rank {rank}'s {source} telemetry is not a JSON object"),
+            Err(e) => eprintln!("ncs-launch: rank {rank}'s {source} telemetry does not parse: {e}"),
+        }
+    }
+    Json::Null
 }
 
 /// Launches the world and blocks until every rank exited or the deadline
@@ -389,32 +400,22 @@ pub fn launch(spec: &LaunchSpec) -> Result<LaunchReport, ClusterError> {
                 .log_dir
                 .as_ref()
                 .and_then(|d| std::fs::read_to_string(rank_telemetry_path(d, e.rank)).ok());
-            let dump = pushed.get(&e.rank).cloned().or_else(|| {
-                file_dump
-                    .as_deref()
-                    .and_then(intact_json_object)
-                    .map(str::to_owned)
-            });
+            let pushed = pushed.get(&e.rank).map(String::as_str);
+            let dump = rank_dump(e.rank, pushed, file_dump.as_deref());
             if let Some(dir) = &spec.log_dir {
-                let wrapped = format!(
-                    "{{\"rank\":{},\"exit_code\":{},\"killed\":{},\"telemetry\":{}}}",
-                    e.rank,
-                    e.code.map_or_else(|| "null".to_owned(), |c| c.to_string()),
-                    killed[e.rank as usize],
-                    dump.as_deref().unwrap_or("null"),
-                );
+                let wrapped = obj! {
+                    "rank": e.rank, "exit_code": e.code,
+                    "killed": killed[e.rank as usize], "telemetry": dump.clone(),
+                };
                 let path = rank_telemetry_path(dir, e.rank);
-                if let Err(err) = std::fs::write(&path, wrapped) {
+                if let Err(err) = std::fs::write(&path, wrapped.to_string()) {
                     eprintln!("ncs-launch: cannot write {}: {err}", path.display());
                 }
             }
-            ranks.push(dump.unwrap_or_else(|| "null".to_owned()));
+            ranks.push(dump);
         }
-        let world_view = format!(
-            "{{\"schema\":\"ncs-telemetry/1\",\"world\":{},\"ranks\":[{}]}}",
-            spec.np,
-            ranks.join(",")
-        );
+        let world_view =
+            obj! { "schema": "ncs-telemetry/1", "world": spec.np, "ranks": ranks }.to_string();
         if let Some(dir) = &spec.log_dir {
             let path = dir.join("telemetry.json");
             if let Err(err) = std::fs::write(&path, &world_view) {
@@ -539,6 +540,34 @@ mod tests {
         assert_eq!(report.exit_code(), 7);
         // MAX_RESPAWNS + 1 spawns, not an unbounded churn.
         assert!(t0.elapsed() < Duration::from_secs(30));
+    }
+
+    #[test]
+    fn truncated_file_dump_becomes_null_in_a_valid_world_view() {
+        // Rank 0 dies mid-write, leaving an unterminated object that still
+        // ends in '}'; rank 1 leaves an intact one.
+        let dir = std::env::temp_dir().join(format!("ncs-launch-trunc-{}", std::process::id()));
+        let script = r#"if [ "$NCS_RANK" = 0 ]; then printf '%s' '{"node":"r0","metrics":[{}'; \
+            else printf '%s' '{"node":"r1"}'; fi > "$NCS_TELEMETRY_FILE""#;
+        let spec = LaunchSpec {
+            telemetry: true,
+            log_dir: Some(dir.clone()),
+            ..LaunchSpec::new(2, vec!["/bin/sh".into(), "-c".into(), script.into()])
+        };
+        let report = launch(&spec).expect("launch");
+        assert!(report.success(), "report: {report:?}");
+        let text = report.telemetry.expect("telemetry requested");
+        let world = Json::parse(&text).expect(&text);
+        let ranks = world.get("ranks").and_then(Json::as_arr).expect(&text);
+        assert_eq!(ranks[0], Json::Null, "{text}");
+        assert_eq!(ranks[1].get("node").and_then(Json::as_str), Some("r1"));
+        let on_disk = std::fs::read_to_string(dir.join("telemetry.json")).unwrap();
+        assert_eq!(on_disk, text);
+        let wrapped = std::fs::read_to_string(rank_telemetry_path(&dir, 0)).unwrap();
+        let wrapped = Json::parse(&wrapped).expect(&wrapped);
+        assert_eq!(wrapped.get("telemetry"), Some(&Json::Null));
+        assert_eq!(wrapped.get("exit_code").and_then(Json::as_u64), Some(0));
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

@@ -570,7 +570,7 @@ mod tests {
             RvMsg::Telemetry {
                 rank: 1,
                 // Exceeds the u16 string limit: rides the u32 length.
-                json: format!("{{\"node\":\"rank1\",\"pad\":\"{}\"}}", "x".repeat(70_000)),
+                json: ncs_obs::obj! { "node": "rank1", "pad": "x".repeat(70_000) }.to_string(),
             },
             RvMsg::TelemetryAck,
             RvMsg::Subscribe {

@@ -9,6 +9,7 @@ use std::time::{Duration, Instant};
 
 use ncs_collectives::ReduceOp;
 use ncs_core::ConnectionConfig;
+use ncs_obs::json::Json;
 use ncs_runtime::{
     rendezvous, ClusterConfig, ClusterNode, RendezvousServer, RvMsg, PROTOCOL_VERSION,
 };
@@ -195,18 +196,43 @@ fn telemetry_dumps_aggregate_at_the_rendezvous_service() {
         back.recv_timeout(Duration::from_secs(10)).expect("recv"),
         b"count me"
     );
+    // Whether a parsed dump's metrics hold a family whose name starts
+    // with `prefix`.
+    let has_family = |dump: &Json, prefix: &str| {
+        dump.get("metrics")
+            .and_then(Json::as_arr)
+            .is_some_and(|fams| {
+                fams.iter().any(|f| {
+                    f.get("name")
+                        .and_then(Json::as_str)
+                        .is_some_and(|n| n.starts_with(prefix))
+                })
+            })
+    };
     for c in &world {
         let dump = c.telemetry();
-        assert!(dump.contains(&format!("\"rank\":{}", c.rank())), "{dump}");
-        assert!(dump.contains("ncs_conn_messages_sent_total"), "{dump}");
-        assert!(dump.contains("\"flights\""), "{dump}");
+        let parsed = Json::parse(&dump).expect(&dump);
+        assert_eq!(
+            parsed.get("rank").and_then(Json::as_u64),
+            Some(u64::from(c.rank())),
+            "{dump}"
+        );
+        assert!(
+            has_family(&parsed, "ncs_conn_messages_sent_total"),
+            "{dump}"
+        );
+        assert!(
+            parsed.get("flights").and_then(Json::as_arr).is_some(),
+            "{dump}"
+        );
         rendezvous::push_telemetry(server.addr(), c.rank(), &dump, Duration::from_secs(5))
             .expect("push");
     }
     let snapshots = server.telemetry_snapshots();
     assert_eq!(snapshots.len(), 2);
-    assert!(snapshots[&0].contains("\"rank\":0"));
-    assert!(snapshots[&1].contains("ncs_reactor"), "{}", snapshots[&1]);
+    let pushed = |rank: u32| Json::parse(&snapshots[&rank]).expect(&snapshots[&rank]);
+    assert_eq!(pushed(0).get("rank").and_then(Json::as_u64), Some(0));
+    assert!(has_family(&pushed(1), "ncs_reactor"), "{}", snapshots[&1]);
     for c in &world {
         c.shutdown();
     }

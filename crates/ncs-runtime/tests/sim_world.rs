@@ -6,6 +6,7 @@ use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use ncs_collectives::ReduceOp;
+use ncs_obs::json::Json;
 use ncs_obs::EventKind;
 use ncs_runtime::sim::{ChaosEvent, ChaosKind, Scenario, SimOp, SimWorldBuilder};
 use ncs_runtime::{Session, SimWorld};
@@ -55,7 +56,7 @@ fn partition_and_heal_completes_with_retransmissions() {
     let report = SimWorld::new(Scenario::partition_heal(64, 7)).run();
     assert!(report.all_completed(), "{:?}", report.ops);
     assert_eq!(report.ops[1].result, Some(64 * 63 / 2));
-    let registry = serde_free_counter(&report.telemetry_json, "sim_messages_dropped_total");
+    let registry = telemetry_counter(&report.telemetry_json, "sim_messages_dropped_total");
     assert!(registry > 0, "partition should have dropped frames");
 }
 
@@ -66,7 +67,7 @@ fn asymmetric_loss_retransmits_to_completion() {
     let report = SimWorld::new(Scenario::asymmetric_loss(128, 3)).run();
     assert!(report.all_completed(), "{:?}", report.ops);
     assert!(
-        serde_free_counter(&report.telemetry_json, "sim_retransmissions_total") > 0,
+        telemetry_counter(&report.telemetry_json, "sim_retransmissions_total") > 0,
         "10% loss over 127 links must retransmit at least once"
     );
 }
@@ -78,7 +79,7 @@ fn flapping_peer_delays_but_completes() {
     let report = SimWorld::new(Scenario::flapping_peer(32, 11)).run();
     assert!(report.all_completed(), "{:?}", report.ops);
     assert!(
-        serde_free_counter(&report.telemetry_json, "sim_chaos_events_total") == 10,
+        telemetry_counter(&report.telemetry_json, "sim_chaos_events_total") == 10,
         "all 5 flap cycles should have fired"
     );
 }
@@ -309,22 +310,21 @@ fn sim_world_and_the_engine_emit_identical_frame_sequences() {
     }
 }
 
-/// Reads a counter family's (single, unlabelled) value out of the
-/// rendered telemetry JSON without a JSON dependency: the series renders
-/// as `{"labels":{},"value":N}` right after the family name.
-fn serde_free_counter(json: &str, name: &str) -> u64 {
-    let at = json
-        .find(name)
+/// A counter family's value in the rendered telemetry JSON; the family
+/// must hold exactly one, unlabelled, series.
+fn telemetry_counter(json: &str, name: &str) -> u64 {
+    let families = Json::parse(json).expect("telemetry parses");
+    let family = families
+        .as_arr()
+        .expect("an array of families")
+        .iter()
+        .find(|f| f.get("name").and_then(Json::as_str) == Some(name))
         .unwrap_or_else(|| panic!("{name} missing from telemetry"));
-    let rest = &json[at..];
-    let value_at = rest
-        .find("\"value\":")
-        .map(|i| i + 8)
-        .unwrap_or_else(|| panic!("no value after {name}"));
-    rest[value_at..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .unwrap_or_else(|_| panic!("bad value for {name}"))
+    let series = family.get("series").and_then(Json::as_arr).unwrap_or(&[]);
+    assert_eq!(series.len(), 1, "{name}: {json}");
+    assert_eq!(series[0].get("labels"), Some(&Json::Obj(vec![])), "{name}");
+    series[0]
+        .get("value")
+        .and_then(Json::as_u64)
+        .unwrap_or_else(|| panic!("bad value for {name}"))
 }
